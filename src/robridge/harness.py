@@ -91,6 +91,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         thresholds=tuple(f_doc.get("thresholds", (0.3, 0.7))),
         values=tuple(f_doc.get("values", (3.0, 2.0, 1.0))))
     loop_doc = doc.get("loop", {})
+    loop_cfg = LoopConfig(
+        status_period=int(loop_doc.get("status_period", 25)),
+        retry_budget=int(loop_doc.get("retry_budget", 2)),
+        max_ticks=int(loop_doc.get("max_ticks", 1000)),
+        primitive_timeout=int(loop_doc.get("primitive_timeout", 200)),
+    )
+    for name, lowest in (("status_period", 1), ("max_ticks", 1),
+                         ("primitive_timeout", 1), ("retry_budget", 0)):
+        if getattr(loop_cfg, name) < lowest:
+            raise ConfigError(f"loop.{name} must be >= {lowest}, "
+                              f"got {getattr(loop_cfg, name)}")
     return ExperimentConfig(
         tasks=list(tasks), suites=list(suites),
         seed_base=int(seeds.get("base", 0)),
@@ -105,12 +116,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         dagger_iterations=int(dag.get("iterations", 10)),
         dagger_f=fmap,
         dagger_sample_budget=dag.get("sample_budget"),
-        loop=LoopConfig(
-            status_period=int(loop_doc.get("status_period", 25)),
-            retry_budget=int(loop_doc.get("retry_budget", 2)),
-            max_ticks=int(loop_doc.get("max_ticks", 1000)),
-            primitive_timeout=int(loop_doc.get("primitive_timeout", 200)),
-        ),
+        loop=loop_cfg,
         out_dir=str(doc.get("out_dir", "out")),
     )
 

@@ -2,10 +2,12 @@
 
 Every tick: render, tracker refresh, tensor conversion, one action (policy
 forward, or waypoint following while the current primitive is "reach"),
-one world step. Every K ticks: a status check; Success advances the plan
-cursor and rebuilds the observation for the next primitive, Wrong
-regenerates it (re-ground, rebuild, fast-forward past already-satisfied
-primitives, full replan if grounding is gone) and consumes a retry.
+one world step; reach ticks skip the tensor unless the episode records
+steps or keeps visited states. Every K ticks: a status check; Success
+advances the plan cursor and rebuilds the observation for the next
+primitive, Wrong regenerates it (re-ground, rebuild, fast-forward past
+already-satisfied primitives, full replan if grounding is gone) and
+consumes a retry.
 """
 
 from __future__ import annotations
@@ -281,8 +283,12 @@ def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
                 except _EpisodeFailed as e:
                     return fail(e.reason)
 
-        tensor = to_tensor(state.obs, frame)
-        if follower is not None and plan.current.type == "reach":
+        reach = follower is not None and plan.current.type == "reach"
+        # the waypoint follower ignores the tensor; build it only if kept
+        tensor = None
+        if not reach or cfg.record or cfg.keep_visited:
+            tensor = to_tensor(state.obs, frame)
+        if reach:
             action = follower.act(world)
         else:
             action = policy.act(tensor, plan.current, world)

@@ -113,11 +113,21 @@ class ObsTensor:
                    vec=flat[n:].copy())
 
 
+def _pixel_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat, row and column indices of a 2-D mask's set pixels, in raster order.
+
+    Same values as np.nonzero(mask), which is far slower on 2-D arrays.
+    """
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, mask.shape[1])
+    return flat, rows, cols
+
+
 def _centroid(mask: np.ndarray) -> np.ndarray | None:
-    idx = np.nonzero(mask)
-    if idx[0].size == 0:
+    _, rows, cols = _pixel_indices(mask)
+    if rows.size == 0:
         return None
-    return np.array([idx[0].mean(), idx[1].mean()])
+    return np.array([rows.mean(), cols.mean()])
 
 
 def type_index(t: str) -> int:
@@ -182,17 +192,22 @@ def _associate(track: ChannelTrack, labels: np.ndarray, n: int,
     return ChannelTrack(mask, centroids[best].copy(), lost=False)
 
 
+# 4-connectivity, ndimage.label's default, built once instead of per call
+_CONNECTIVITY = ndimage.generate_binary_structure(2, 1)
+
+
 def _components(foreground: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    labels, n = ndimage.label(foreground)
+    labels, n = ndimage.label(foreground, structure=_CONNECTIVITY)
     if n == 0:
         return labels, 0, np.zeros((0, 2))
-    idx = np.arange(1, n + 1)
-    rows = ndimage.sum_labels(np.broadcast_to(np.arange(labels.shape[0])[:, None], labels.shape),
-                              labels, idx)
-    cols = ndimage.sum_labels(np.broadcast_to(np.arange(labels.shape[1])[None, :], labels.shape),
-                              labels, idx)
-    counts = ndimage.sum_labels(np.ones_like(labels), labels, idx)
-    return labels, n, np.stack([rows / counts, cols / counts], axis=1)
+    # one pass over the foreground pixels; the per-label sums are sums of
+    # integer coordinates, exact in float64, so summation order is irrelevant
+    flat, rows, cols = _pixel_indices(foreground)
+    lab = labels.ravel()[flat]
+    counts = np.bincount(lab, minlength=n + 1)[1:]
+    row_sums = np.bincount(lab, weights=rows, minlength=n + 1)[1:]
+    col_sums = np.bincount(lab, weights=cols, minlength=n + 1)[1:]
+    return labels, n, np.stack([row_sums / counts, col_sums / counts], axis=1)
 
 
 def track_update(tracker: TrackerState, obs: Observation, frame: Frame,
@@ -242,6 +257,27 @@ def _block_mean(img: np.ndarray, out_size: int) -> np.ndarray:
     return img.reshape(out_size, fh, out_size, fw).mean(axis=(1, 3))
 
 
+def _block_majority(mask: np.ndarray, out_size: int) -> np.ndarray:
+    """Blocks at least half set: _block_mean(mask) >= 0.5, counted in integers.
+
+    A block's mean is its integer count divided by its area, rounded once,
+    so it reaches 0.5 exactly when twice the count reaches the area.
+    """
+    h, w = mask.shape
+    fh, fw = h // out_size, w // out_size
+    # summing whole row bands, then column bands, beats one reduce over
+    # the two strided block axes
+    bands = mask.reshape(out_size, fh, w).view(np.uint8)
+    rows = bands[:, 0].astype(np.int32)
+    for k in range(1, fh):
+        rows += bands[:, k]
+    cols = rows.reshape(out_size, out_size, fw)
+    counts = cols[:, :, 0].copy()
+    for k in range(1, fw):
+        counts += cols[:, :, k]
+    return 2 * counts >= fh * fw
+
+
 def to_tensor(obs: Observation, frame: Frame) -> ObsTensor:
     """Fixed-layout float32 tensor: 7 x 32 x 32 grid plus a 17-vector.
 
@@ -251,7 +287,7 @@ def to_tensor(obs: Observation, frame: Frame) -> ObsTensor:
     """
     grid = np.zeros((GRID_CHANNELS, GRID, GRID), dtype=np.float32)
     for c in range(3):
-        grid[c] = (_block_mean(obs.masks3[c].astype(np.float64), GRID) >= 0.5).astype(np.float32)
+        grid[c] = _block_majority(obs.masks3[c], GRID)
     for c in range(3):
         d = _block_mean(obs.depths1[c], GRID) / WORKSPACE_Z
         grid[3 + c] = np.clip(d, 0.0, 1.0).astype(np.float32)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
+from .observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor, type_index
 from .util import SCHEMA_VERSION, rng_for
 
 GRID_IN = GRID_CHANNELS * GRID * GRID      # 7168
@@ -128,11 +128,6 @@ def forward(params: PolicyParams, x: ObsTensor) -> np.ndarray:
     return y[0].astype(np.float64)
 
 
-def forward_batch(params: PolicyParams, xg: np.ndarray, xv: np.ndarray) -> np.ndarray:
-    y, _ = _forward_arrays(params, xg, xv)
-    return y
-
-
 def loss_and_grad_arrays(p: PolicyParams, xg, xv, y_true):
     """Mean over the batch of ||y - target||^2 / 4, with exact gradients."""
     n = xg.shape[0]
@@ -205,12 +200,11 @@ class Dataset:
         executes reach (the loop motion-plans it), so they are excluded
         unless asked for.
         """
-        from .observation import ObsTensor as OT
-        reach_idx = 8
+        reach_idx = type_index("reach")
         pairs = []
         for traj in trajectories:
             for s in traj.steps:
-                t = OT.from_bytes(s.tensor_bytes)
+                t = ObsTensor.from_bytes(s.tensor_bytes)
                 if not include_reach and t.vec[reach_idx] > 0.5:
                     continue
                 pairs.append((t, s.action))
@@ -240,6 +234,10 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
     p = params.copy()
     m = {k: np.zeros_like(v) for k, v in p.tensors.items()}
     v = {k: np.zeros_like(vv) for k, vv in p.tensors.items()}
+    # the update runs in place; its two scratch buffers are shared by all
+    # tensors, so they are sized for the largest
+    size = max(vv.size for vv in p.tensors.values())
+    scratch = (np.empty(size, dtype=p.dtype), np.empty(size, dtype=p.dtype))
     t = 0
     n = len(dataset)
     flat_grid = dataset.grid.reshape(n, -1)
@@ -264,15 +262,40 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
             bc1 = 1.0 - cfg.beta1 ** t
             bc2 = 1.0 - cfg.beta2 ** t
             for k in p.tensors:
-                gk = grads.tensors[k]
-                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * gk
-                v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * gk * gk
-                p.tensors[k] = p.tensors[k] - (lr * (m[k] / bc1)
-                                               / (np.sqrt(v[k] / bc2) + cfg.eps)).astype(p.dtype)
+                _adam_step(p.tensors[k], grads.tensors[k], m[k], v[k], scratch,
+                           lr, bc1, bc2, cfg)
             epoch_loss += loss * len(idx)
             seen += len(idx)
         losses.append(epoch_loss / seen)
     return p, {"loss": losses, "epochs": epochs, "samples": n}
+
+
+def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float,
+               cfg: TrainConfig) -> None:
+    """One in-place adaptive-moment update of a parameter tensor.
+
+    Same operations in the same order as
+        m = beta1*m + (1-beta1)*g
+        v = beta2*v + (1-beta2)*g*g
+        p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)
+    so the result is bit-identical. scratch holds two flat buffers of at
+    least pk.size elements.
+    """
+    a, b = (buf[:pk.size].reshape(pk.shape) for buf in scratch)
+    np.multiply(mk, cfg.beta1, out=mk)
+    np.multiply(gk, 1.0 - cfg.beta1, out=a)
+    np.add(mk, a, out=mk)
+    np.multiply(vk, cfg.beta2, out=vk)
+    np.multiply(gk, 1.0 - cfg.beta2, out=a)
+    np.multiply(a, gk, out=a)
+    np.add(vk, a, out=vk)
+    np.divide(mk, bc1, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(vk, bc2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, cfg.eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(pk, a, out=pk)
 
 
 def _augment_block(grid_block: np.ndarray, augment_cfg, seed: int, epoch: int,

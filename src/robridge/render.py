@@ -4,15 +4,23 @@ Third view: full-workspace RGB plus an exact per-pixel instance map.
 First view: a height map cropped around the gripper plus its instance map.
 Pixel membership is evaluated at pixel centers, so an integer-pixel camera
 translation shifts the rendered content by exactly that many pixels.
+
+The instance and height maps are rasterized eagerly. The third-view RGB
+image is not: ``render`` captures what it needs (the instance map, each
+body's color, the background and the light gain) and the frame builds the
+image on the first read of ``Frame.rgb3``. The control loop reads it only
+for digests, so an evaluation episode paints it once, not once per tick.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .util import digest_arrays
+from .util import canonical_json, digest_arrays
 from .world import (
     BACKGROUND_ID,
     GRIPPER_COLOR,
@@ -28,17 +36,22 @@ from .world import (
 )
 
 
-def _pixel_world_grids(cam: CameraConfig, center_xy: np.ndarray):
-    """World (x, y) coordinates of every pixel center for this camera."""
-    h, w = cam.resolution
-    dx, dy, dth = cam.offset
+@lru_cache(maxsize=4)
+def _rotated_offsets(h: int, w: int, dx: float, dy: float, dth: float):
+    """Pixel-center offsets from the view center, rotated by the camera yaw.
+
+    They depend only on resolution and offset, so each camera computes them
+    once. The arrays are shared and read-only.
+    """
     jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     u = jj + 0.5 - w / 2.0 + dx
     v = ii + 0.5 - h / 2.0 + dy
     c, s = math.cos(dth), math.sin(dth)
-    x = center_xy[0] + cam.scale * (c * u - s * v)
-    y = center_xy[1] + cam.scale * (s * u + c * v)
-    return x, y
+    ru = c * u - s * v
+    rv = s * u + c * v
+    ru.flags.writeable = False
+    rv.flags.writeable = False
+    return ru, rv
 
 
 def world_to_pixel(cam: CameraConfig, center_xy, x: float, y: float) -> tuple[float, float]:
@@ -101,12 +114,12 @@ def _bodies(world: WorldState) -> list[_Body]:
     return out
 
 
-def _rasterize(world: WorldState, cam: CameraConfig, center_xy: np.ndarray):
+def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy: np.ndarray):
     h, w = cam.resolution
-    x, y = _pixel_world_grids(cam, center_xy)
+    ru, rv = _rotated_offsets(h, w, *cam.offset)
     inst = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
     height = np.zeros((h, w), dtype=np.float64)
-    for b in _bodies(world):
+    for b in bodies:
         r = b.radius() + cam.scale
         r0, c0 = world_to_pixel(cam, center_xy, b.cx, b.cy)
         # conservative pixel bounding box around the footprint
@@ -117,14 +130,19 @@ def _rasterize(world: WorldState, cam: CameraConfig, center_xy: np.ndarray):
         j1 = min(w, int(math.ceil(c0 + pr)) + 1)
         if i0 >= i1 or j0 >= j1:
             continue
-        m = b.mask(x[i0:i1, j0:j1], y[i0:i1, j0:j1])
+        # world (x, y) of the pixel centers in the box
+        x = center_xy[0] + cam.scale * ru[i0:i1, j0:j1]
+        y = center_xy[1] + cam.scale * rv[i0:i1, j0:j1]
+        m = b.mask(x, y)
         inst[i0:i1, j0:j1][m] = b.ident
         height[i0:i1, j0:j1][m] = b.top
     return inst, height
 
 
-def _background_rgb(appearance, h: int, w: int) -> np.ndarray:
-    bg = appearance.background
+@lru_cache(maxsize=2)
+def _background_rgb(background_json: str, h: int, w: int) -> np.ndarray:
+    """Background image for a background spec (canonical JSON); shared, read-only."""
+    bg = json.loads(background_json)
     img = np.empty((h, w, 3), dtype=np.float64)
     if bg.get("kind") == "checker":
         ca = np.array(bg["colors"][0], dtype=np.float64)
@@ -136,7 +154,18 @@ def _background_rgb(appearance, h: int, w: int) -> np.ndarray:
         img[parity] = cb
     else:
         img[:] = np.array(bg.get("colors", [[0.4, 0.4, 0.4]])[0], dtype=np.float64)
+    img.flags.writeable = False
     return img
+
+
+def _paint_rgb(inst3: np.ndarray, colors: list, background_json: str,
+               gain: np.ndarray) -> np.ndarray:
+    h, w = inst3.shape
+    rgb = _background_rgb(background_json, h, w).copy()
+    for ident, color in colors:
+        rgb[inst3 == ident] = color
+    rgb = np.clip(rgb * gain, 0.0, 1.0)
+    return np.round(rgb * 255.0).astype(np.uint8)
 
 
 def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
@@ -146,26 +175,23 @@ def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
     if cam3.view != "third" or cam1.view != "first":
         raise ValueError("render expects a third-view and a first-view camera")
 
+    bodies = _bodies(world)
     center3 = np.array([
         (world.workspace[0, 0] + world.workspace[0, 1]) / 2.0,
         (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0,
     ])
-    inst3, _ = _rasterize(world, cam3, center3)
+    inst3, _ = _rasterize(bodies, cam3, center3)
 
     center1 = world.gripper.pose[:2].copy()
-    inst1, height1 = _rasterize(world, cam1, center1)
+    inst1, height1 = _rasterize(bodies, cam1, center1)
 
-    h, w = cam3.resolution
-    rgb = _background_rgb(world.appearance, h, w)
-    colors = {b.ident: b.color for b in _bodies(world)}
-    for ident, color in sorted(colors.items()):
-        rgb[inst3 == ident] = color
-    gain = np.array(world.appearance.light_gain, dtype=np.float64)
-    rgb = np.clip(rgb * gain, 0.0, 1.0)
-    rgb3 = np.round(rgb * 255.0).astype(np.uint8)
-
-    return Frame(rgb3=rgb3, depth1=height1, instance3=inst3, instance1=inst1,
-                 gripper=world.gripper.copy(), tick=world.tick)
+    # copies, so later in-place changes to the world cannot reach the image
+    colors = sorted({b.ident: np.array(b.color) for b in bodies}.items())
+    paint = partial(_paint_rgb, inst3, colors,
+                    canonical_json(world.appearance.background),
+                    np.array(world.appearance.light_gain, dtype=np.float64))
+    return Frame(depth1=height1, instance3=inst3, instance1=inst1,
+                 gripper=world.gripper.copy(), tick=world.tick, paint_rgb3=paint)
 
 
 def frame_digest(frame: Frame) -> str:

@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -167,12 +168,22 @@ def first_camera() -> CameraConfig:
 
 @dataclass
 class Frame:
-    rgb3: np.ndarray           # (H, W, 3) uint8, third view
     depth1: np.ndarray         # (h, w) float64 meters, first view height field
     instance3: np.ndarray      # (H, W) int32 entity ids, 0 = background
     instance1: np.ndarray      # (h, w) int32
     gripper: GripperState
     tick: int
+    # builds the third-view RGB image from what the renderer captured at
+    # render time; called once, on the first read of rgb3
+    paint_rgb3: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _rgb3: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def rgb3(self) -> np.ndarray:
+        """(H, W, 3) uint8 third view, built on first read."""
+        if self._rgb3 is None:
+            self._rgb3 = self.paint_rgb3()
+        return self._rgb3
 
 
 def clamp_action(action) -> np.ndarray:

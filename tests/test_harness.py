@@ -178,6 +178,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     cfg_path = small_config(tmp_path)
     bad = small_config(tmp_path / "bad", tasks=["nope"])
     assert cli_main(["collect", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    for i, loop in enumerate([{"status_period": 0}, {"max_ticks": 0},
+                              {"primitive_timeout": 0}, {"retry_budget": -1}]):
+        bad = small_config(tmp_path / f"bad_loop{i}", loop=loop)
+        assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
+                         "--out", str(tmp_path / "x")]) == 2
+        assert f"loop.{next(iter(loop))}" in capsys.readouterr().err
     assert cli_main(["collect", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / "manifest.json").exists()
     # ROBRIDGE_OUT fallback

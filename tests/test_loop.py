@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -126,3 +127,58 @@ def test_planning_failure_outcome(monkeypatch):
     res = run_episode("press-button", ExpertAsPolicy(), LoopConfig(), seed=0)
     assert res.outcome == "failed"
     assert "planning" in res.reason
+
+
+# (task, suite, seed, ticks, success, final_digest) of scripted-expert episodes.
+# Perception changes must leave these bits alone; a deliberate change of
+# rendering or float rounding re-records them and says so.
+GOLDEN_EPISODES = [
+    ("pick-place", "nominal", 3, 99, True, "0a86cfd9a3d410c8"),
+    ("open-drawer", "unseen_camera", 3, 49, True, "d56537333c012dda"),
+    ("reach-target", "unseen_camera", 7, 24, True, "0c8189cc03fca451"),
+    ("turn-dial", "nominal", 11, 49, True, "d602913834aff4bb"),
+]
+
+
+@pytest.mark.parametrize("task,suite,seed,ticks,success,digest", GOLDEN_EPISODES)
+def test_expert_episode_golden_digest(task, suite, seed, ticks, success, digest):
+    res = run_episode(task, ExpertAsPolicy(), LoopConfig(), suite=suite, seed=seed)
+    assert (res.ticks, res.success, res.final_digest) == (ticks, success, digest)
+
+
+def _steps_digest(steps) -> str:
+    h = hashlib.sha256()
+    for s in steps:
+        h.update(s.tensor_bytes)
+        h.update(np.asarray(s.action, dtype="<f4").tobytes())
+        h.update(repr(float(s.reward)).encode())
+        h.update(s.frame_digest.encode())
+    return h.hexdigest()
+
+
+def _visited_digest(visited) -> str:
+    h = hashlib.sha256()
+    for v in visited:
+        h.update(v.tensor.to_bytes())
+        h.update(v.primitive.type.encode())
+        h.update(str(v.world.tick).encode())
+    return h.hexdigest()
+
+
+def test_recorded_and_visited_episodes_golden():
+    # reach ticks skip the tensor only when nothing keeps it: recording and
+    # keep_visited must still see a tensor for every tick, bit for bit
+    res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(record=True), seed=3)
+    assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (99, "0a86cfd9a3d410c8", 99)
+    assert _steps_digest(res.recorded_steps) == (
+        "a664d281fd2f6e7556dff16aee29e2b643ed32e35a973b2f0df5bb52248b278d")
+    res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(keep_visited=True), seed=3)
+    assert (res.ticks, res.final_digest, len(res.visited)) == (99, "0a86cfd9a3d410c8", 99)
+    assert _visited_digest(res.visited) == (
+        "24b1a2cdebd8110d64f478029ba5d0dd48deb3e52a396dc4a6ada808c9107367")
+    # a grasp fault edits the world in place; per-tick frame digests follow it
+    res = run_episode("pick-place", ExpertAsPolicy(),
+                      LoopConfig(record=True, fault=FaultConfig()), seed=3)
+    assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (174, "ecd0c7c102c52446", 174)
+    assert _steps_digest(res.recorded_steps) == (
+        "cbb8ac0ebdc6738749c174b0af02d18c93479f097b5ce969c2121e7012ed9a46")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from conftest import gripper_to
 from robridge import hcp
@@ -11,6 +13,10 @@ from robridge.observation import (
     VEC_DIM,
     BuildError,
     ObsTensor,
+    _block_majority,
+    _block_mean,
+    _centroid,
+    _components,
     build,
     init_tracker,
     to_tensor,
@@ -180,3 +186,50 @@ def test_gripper_channel_refreshes_from_proprioception(world, cams):
         tr, obs = track_update(tr, obs, f)
         assert np.array_equal(obs.masks3[0], f.instance3 == GRIPPER_ID)
         assert not tr.tracks3[0].lost
+
+
+def foreground_images():
+    return st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+                     st.floats(0.0, 1.0)).map(
+        lambda a: np.random.default_rng(a[2]).random((a[0], a[1])) < a[3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fg=foreground_images())
+def test_components_match_sum_labels_reference(fg):
+    labels, n, cents = _components(fg)
+    ref_labels, ref_n = ndimage.label(fg)
+    assert n == ref_n
+    assert np.array_equal(labels, ref_labels)
+    if n == 0:
+        assert cents.shape == (0, 2)
+        return
+    idx = np.arange(1, n + 1)
+    rows = ndimage.sum_labels(np.broadcast_to(np.arange(fg.shape[0])[:, None], fg.shape),
+                              ref_labels, idx)
+    cols = ndimage.sum_labels(np.broadcast_to(np.arange(fg.shape[1])[None, :], fg.shape),
+                              ref_labels, idx)
+    counts = ndimage.sum_labels(np.ones_like(ref_labels), ref_labels, idx)
+    ref = np.stack([rows / counts, cols / counts], axis=1)
+    assert cents.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fg=foreground_images())
+def test_centroid_matches_nonzero_mean(fg):
+    idx = np.nonzero(fg)
+    c = _centroid(fg)
+    if idx[0].size == 0:
+        assert c is None
+    else:
+        assert c.tobytes() == np.array([idx[0].mean(), idx[1].mean()]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0))
+def test_block_majority_matches_thresholded_mean(block, seed, density):
+    fh, fw = block
+    mask = np.random.default_rng(seed).random((8 * fh, 8 * fw)) < density
+    ref = _block_mean(mask.astype(np.float64), 8) >= 0.5
+    assert np.array_equal(_block_majority(mask, 8), ref)

@@ -9,6 +9,8 @@ from robridge.policy import (
     CheckpointError,
     Dataset,
     PolicyParams,
+    TrainConfig,
+    _adam_step,
     forward,
     init_params,
     load_params,
@@ -193,3 +195,25 @@ def test_dataset_from_pairs_and_reach_exclusion():
     traj = Trajectory("x", 0, steps, True, 2)
     assert len(Dataset.from_trajectories([traj], include_reach=True)) == 2
     assert len(Dataset.from_trajectories([traj])) == 1
+
+
+def test_in_place_adam_step_matches_reference_formula():
+    cfg = TrainConfig()
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal((16, 9)).astype(np.float32)
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+    scratch = (np.empty(p.size + 3, dtype=p.dtype), np.empty(p.size + 3, dtype=p.dtype))
+    lr = 1e-3
+    for t in range(1, 6):
+        g = rng.standard_normal(p.shape).astype(np.float32)
+        bc1 = 1.0 - cfg.beta1 ** t
+        bc2 = 1.0 - cfg.beta2 ** t
+        ref_m = cfg.beta1 * ref_m + (1.0 - cfg.beta1) * g
+        ref_v = cfg.beta2 * ref_v + (1.0 - cfg.beta2) * g * g
+        ref_p = ref_p - (lr * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + cfg.eps)).astype(p.dtype)
+        _adam_step(p, g, m, v, scratch, lr, bc1, bc2, cfg)
+        assert p.tobytes() == ref_p.tobytes()
+        assert m.tobytes() == ref_m.tobytes()
+        assert v.tobytes() == ref_v.tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import simple_scene_doc
 from robridge.render import frame_digest, render, world_to_pixel
 from robridge.scenes import parse_scene
 from robridge.world import (
+    GRIPPER_COLOR,
     GRIPPER_ID,
     create_world,
     effective_pose,
@@ -133,3 +136,70 @@ def test_camera_validation():
         CameraConfig("third", resolution=(16, 16)).validate()
     with pytest.raises(ValueError):
         CameraConfig("third", scale=0.0).validate()
+
+
+def eager_rgb(world, instance3):
+    """Reference third-view RGB: the image painted directly from the world."""
+    h, w = instance3.shape
+    bg = world.appearance.background
+    img = np.empty((h, w, 3), dtype=np.float64)
+    cell = int(bg.get("cell", 16))
+    ii, jj = np.meshgrid(np.arange(h) // cell, np.arange(w) // cell, indexing="ij")
+    parity = ((ii + jj) % 2).astype(bool)
+    img[~parity] = np.array(bg["colors"][0], dtype=np.float64)
+    img[parity] = np.array(bg["colors"][1], dtype=np.float64)
+    colors = {e.id: e.color for e in world.entities}
+    colors[GRIPPER_ID] = np.array(GRIPPER_COLOR)
+    for ident, color in sorted(colors.items()):
+        img[instance3 == ident] = color
+    img = np.clip(img * np.array(world.appearance.light_gain, dtype=np.float64), 0.0, 1.0)
+    return np.round(img * 255.0).astype(np.uint8)
+
+
+def test_lazy_rgb_matches_eager_and_ignores_later_world_edits(world, cams):
+    world.appearance.light_gain = (0.9, 1.1, 1.05)
+    expected = eager_rgb(world, render(world, *cams).instance3)
+    f = render(world, *cams)
+    # in-place edits after render, as a grasp fault makes, must not reach the image
+    cube = world.find("cube")
+    cube.pose[:2] += 0.05
+    cube.color[:] = (0.0, 1.0, 0.0)
+    world.gripper.pose[:2] = (0.5, 0.5)
+    world.appearance.background["colors"][0][0] = 0.9
+    world.appearance.light_gain = (0.5, 0.5, 0.5)
+    assert f.rgb3.tobytes() == expected.tobytes()
+    assert f.rgb3 is f.rgb3   # built once
+
+
+def test_background_cache_keys_on_colors(world, cams):
+    a = world.copy()
+    b = world.copy()
+    b.appearance.background = {"kind": "checker",
+                               "colors": [[0.36, 0.36, 0.38], [0.50, 0.42, 0.44]], "cell": 16}
+    fa = render(a, *cams)
+    assert fa.rgb3.tobytes() == eager_rgb(a, fa.instance3).tobytes()
+    fb = render(b, *cams)
+    assert fb.rgb3.tobytes() == eager_rgb(b, fb.instance3).tobytes()
+    assert not np.array_equal(fa.rgb3, fb.rgb3)
+
+
+def test_pixel_world_coordinates_match_full_grid_formula():
+    # the rasterizer evaluates world coordinates on cached, rotated offsets;
+    # they must equal the direct per-camera computation bit for bit
+    from robridge.render import _rotated_offsets
+    for cam in (third_camera(offset=(3.0, -7.0, 0.3)), first_camera()):
+        h, w = cam.resolution
+        dx, dy, dth = cam.offset
+        jj, ii = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+        u = jj + 0.5 - w / 2.0 + dx
+        v = ii + 0.5 - h / 2.0 + dy
+        c, s = math.cos(dth), math.sin(dth)
+        center = np.array([0.31, 0.27])
+        x = center[0] + cam.scale * (c * u - s * v)
+        y = center[1] + cam.scale * (s * u + c * v)
+        ru, rv = _rotated_offsets(h, w, dx, dy, dth)
+        win = np.s_[5:20, 9:31]
+        assert (center[0] + cam.scale * ru[win]).tobytes() == x[win].tobytes()
+        assert (center[1] + cam.scale * rv[win]).tobytes() == y[win].tobytes()
+        with pytest.raises(ValueError):
+            ru[0, 0] = 1.0
