@@ -10,7 +10,9 @@ lives in tasks.ExpertRandomization, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -19,15 +21,22 @@ from .observation import ObsTensor
 from .util import rng_for
 
 HOLE_RADIUS = 3  # px
+# grid rows whose depth images are augmented in one pass: 4 rows keep each
+# float64 temporary under 100 KB
+_DEPTH_CHUNK = 4
+# (row, col) offsets of the pixels one hole covers around its centre
+_DISC = np.array([(di, dj) for di in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
+                  for dj in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
+                  if di * di + dj * dj <= HOLE_RADIUS ** 2])
 
-_GRIDS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=4)
 def _pixel_grid(shape: tuple[int, int]):
-    if shape not in _GRIDS:
-        rr, cc = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        _GRIDS[shape] = (rr, cc)
-    return _GRIDS[shape]
+    """Row and column index grids of an image shape; shared, so read-only."""
+    rr, cc = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
+    rr.flags.writeable = False
+    cc.flags.writeable = False
+    return rr, cc
 
 
 @dataclass
@@ -47,10 +56,15 @@ class AugmentConfig:
             raise ValueError(f"unknown augment stage {self.stage!r}")
         for name in ("warp_mag", "blur_sigma", "hole_rate", "dilate_radius",
                      "shift_max", "crop_margin", "segment_add_delete_p"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.hole_rate > 1.0 or self.segment_add_delete_p > 1.0:
-            raise ValueError("rates must lie in [0, 1]")
+        for name in ("hole_rate", "segment_add_delete_p"):
+            if getattr(self, name) > 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.stage == "expert":
             fields = ("warp_mag", "blur_sigma", "hole_rate", "dilate_radius",
                       "shift_max", "crop_margin", "segment_add_delete_p")
@@ -66,17 +80,56 @@ def expert_stage_config(seed: int = 0) -> AugmentConfig:
 
 
 def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    rows = np.clip(rows, 0.0, h - 1.0)
-    cols = np.clip(cols, 0.0, w - 1.0)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = rows - r0
-    fc = cols - c0
-    return (img[r0, c0] * (1 - fr) * (1 - fc) + img[r1, c0] * fr * (1 - fc)
-            + img[r0, c1] * (1 - fr) * fc + img[r1, c1] * fr * fc)
+    """Sample each image of img (n, h, w) at its own (rows, cols), each
+    (n, h, w) float64 and overwritten here."""
+    n, h, w = img.shape
+    np.clip(rows, 0.0, h - 1.0, out=rows)
+    np.clip(cols, 0.0, w - 1.0, out=cols)
+    r0 = np.floor(rows)
+    c0 = np.floor(cols)
+    fr = np.subtract(rows, r0, out=rows)
+    fc = np.subtract(cols, c0, out=cols)
+    gr = 1 - fr
+    gc = 1 - fc
+    # one replicated row and column past the edge stand in for the clamp of
+    # r0 + 1 and c0 + 1 to the last pixel
+    padded = np.empty((n, h + 1, w + 1))
+    padded[:, :h, :w] = img
+    padded[:, h, :w] = img[:, h - 1]
+    padded[:, :, w] = padded[:, :, w - 1]
+    flat = padded.reshape(-1)
+    i00 = r0.astype(np.int64)
+    i00 *= w + 1
+    i00 += c0.astype(np.int64)
+    i00 += (np.arange(n) * ((h + 1) * (w + 1)))[:, None, None]
+    # same products and sums, in the same order, as
+    # img[r0,c0]*(1-fr)*(1-fc) + img[r1,c0]*fr*(1-fc) + img[r0,c1]*(1-fr)*fc + img[r1,c1]*fr*fc
+    out = flat.take(i00)
+    out *= gr
+    out *= gc
+    for step, a, b in ((w + 1, fr, gc), (1, gr, fc), (w + 2, fr, fc)):
+        v = flat.take(i00 + step)
+        v *= a
+        v *= b
+        out += v
+    return out
+
+
+def _warp_normals(seed: int, out: np.ndarray) -> np.ndarray:
+    """Fill out (2, h, w) with the raw displacement draws of depth_warp."""
+    return rng_for(seed, "depth-warp").standard_normal(out=out)
+
+
+def _warp_block(depth: np.ndarray, disp: np.ndarray, mag: float) -> np.ndarray:
+    """Resample each image of depth (n, h, w) float64 through its field in
+    disp (n, 2, h, w): raw normals, smoothed and scaled to std mag in place."""
+    n, h, w = depth.shape
+    ndimage.gaussian_filter(disp, sigma=(0.0, 0.0, 2.0, 2.0), mode="reflect",
+                            truncate=2.0, output=disp)
+    std = disp.reshape(n, -1).std(axis=1)
+    disp *= np.divide(mag, std, out=np.ones_like(std), where=std > 0)[:, None, None, None]
+    rr, cc = _pixel_grid((h, w))
+    return _bilinear(depth, rr + disp[:, 0], cc + disp[:, 1])
 
 
 def depth_warp(depth: np.ndarray, mag: float, seed: int) -> np.ndarray:
@@ -85,15 +138,8 @@ def depth_warp(depth: np.ndarray, mag: float, seed: int) -> np.ndarray:
         raise ValueError("warp magnitude must be non-negative")
     if mag == 0.0:
         return depth.copy()
-    rng = rng_for(seed, "depth-warp")
-    h, w = depth.shape
-    disp = rng.standard_normal((2, h, w))
-    disp = ndimage.gaussian_filter(disp, sigma=(0.0, 2.0, 2.0), mode="reflect", truncate=2.0)
-    std = disp.std()
-    if std > 0:
-        disp *= mag / std
-    rr, cc = _pixel_grid((h, w))
-    return _bilinear(depth.astype(np.float64), rr + disp[0], cc + disp[1]).astype(depth.dtype)
+    disp = _warp_normals(seed, np.empty((1, 2, *depth.shape)))
+    return _warp_block(depth.astype(np.float64)[None], disp, mag)[0].astype(depth.dtype)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -111,17 +157,34 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return out.astype(img.dtype) if img.dtype.kind == "f" else out
 
 
+@lru_cache(maxsize=16)
 def expected_hole_count(shape: tuple[int, int], rate: float) -> int:
     """Disc count giving expected covered fraction ~= rate under overlap."""
     h, w = shape
-    disc_px = sum(1 for di in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
-                  for dj in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
-                  if di * di + dj * dj <= HOLE_RADIUS ** 2)
-    a = disc_px / (h * w)
+    a = len(_DISC) / (h * w)
     if rate >= 1.0:
         return 0
     n = math.log(1.0 - rate) / math.log(1.0 - a)
     return max(1, round(n)) if rate > 0 else 0
+
+
+def _hole_centers(seed: int, shape: tuple[int, int], rate: float) -> np.ndarray:
+    n = expected_hole_count(shape, rate)
+    return rng_for(seed, "holes").integers(0, shape, size=(n, 2))
+
+
+def _hole_mask(centers: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Pixels within HOLE_RADIUS of any of each image's centers (n, k, 2),
+    as a bool (n, h, w)."""
+    n = len(centers)
+    h, w = shape
+    rows = centers[:, :, 0, None] + _DISC[:, 0]
+    cols = centers[:, :, 1, None] + _DISC[:, 1]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    flat = rows * w + cols + (np.arange(n) * (h * w))[:, None, None]
+    hit = np.zeros(n * h * w, dtype=bool)
+    hit[flat[inside]] = True
+    return hit.reshape(n, h, w)
 
 
 def random_holes(img: np.ndarray, rate: float, seed: int) -> np.ndarray:
@@ -132,16 +195,23 @@ def random_holes(img: np.ndarray, rate: float, seed: int) -> np.ndarray:
         return img.copy()
     if rate >= 1.0:
         return np.zeros_like(img)
-    rng = rng_for(seed, "holes")
-    h, w = img.shape
     out = img.copy()
-    n = expected_hole_count((h, w), rate)
-    centers = rng.integers(0, (h, w), size=(n, 2))
-    rr, cc = _pixel_grid((h, w))
-    hit = (((rr[None] - centers[:, 0, None, None]) ** 2
-            + (cc[None] - centers[:, 1, None, None]) ** 2)
-           <= HOLE_RADIUS ** 2).any(axis=0)
-    out[hit] = 0
+    out[_hole_mask(_hole_centers(seed, img.shape, rate)[None], img.shape)[0]] = 0
+    return out
+
+
+def _dilate(masks: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Chebyshev-ball dilation of each mask (n, h, w) by its own radius:
+    radius r is r steps of the 3x3 square, which never cross the border."""
+    out = masks
+    for step in range(1, int(radius.max(initial=0)) + 1):
+        grown = out.copy()
+        grown[:, 1:] |= out[:, :-1]
+        grown[:, :-1] |= out[:, 1:]
+        wide = grown.copy()
+        wide[:, :, 1:] |= grown[:, :, :-1]
+        wide[:, :, :-1] |= grown[:, :, 1:]
+        out = np.where((radius >= step)[:, None, None], wide, out)
     return out
 
 
@@ -149,17 +219,34 @@ def binary_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Chebyshev-ball dilation: a 2x2 blob grows to 4x4 at radius 1."""
     if radius <= 0:
         return mask.copy()
-    struct = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    return ndimage.binary_dilation(mask.astype(bool), structure=struct)
+    return _dilate(mask.astype(bool)[None], np.array([radius]))[0]
 
 
-def _shift_zero_fill(mask: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    out = np.zeros_like(mask)
-    h, w = mask.shape
-    r0, r1 = max(0, dr), min(h, h + dr)
-    c0, c1 = max(0, dc), min(w, w + dc)
-    out[r0:r1, c0:c1] = mask[r0 - dr:r1 - dr, c0 - dc:c1 - dc]
-    return out
+def _shift_zero_fill(masks: np.ndarray, dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """Translate each mask (n, h, w) by its own (dr, dc), filling with zeros."""
+    n, h, w = masks.shape
+    # a shift of h rows or more empties the mask, as a shift of exactly h does
+    ph = min(int(np.abs(dr).max(initial=0)), h)
+    pw = min(int(np.abs(dc).max(initial=0)), w)
+    padded = np.zeros((n, h + 2 * ph, w + 2 * pw), dtype=masks.dtype)
+    padded[:, ph:ph + h, pw:pw + w] = masks
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2))
+    return windows[np.arange(n), ph - np.clip(dr, -ph, ph), pw - np.clip(dc, -pw, pw)]
+
+
+def _crop_borders(masks: np.ndarray, widths: np.ndarray) -> None:
+    """Clear the top, bottom, left and right widths (n, 4) of each mask in
+    place, as the slices m[:t], m[h - b:], m[:, :l], m[:, w - rt:] would."""
+    n, h, w = masks.shape
+
+    def tail_start(size, k):   # start of the slice [size - k:], 'size' when k == 0
+        start = size - k
+        return np.where(start < 0, np.maximum(start + size, 0), start)[:, None]
+
+    rows, cols = np.arange(h), np.arange(w)
+    keep_r = (rows >= widths[:, 0, None]) & (rows < tail_start(h, widths[:, 1]))
+    keep_c = (cols >= widths[:, 2, None]) & (cols < tail_start(w, widths[:, 3]))
+    masks &= keep_r[:, :, None] & keep_c[:, None, :]
 
 
 def add_blob(mask: np.ndarray, seed: int) -> np.ndarray:
@@ -184,57 +271,109 @@ def delete_component(mask: np.ndarray, seed: int) -> np.ndarray:
     return out
 
 
+def _draw_jitter(seed: int, cfg: AugmentConfig, params: np.ndarray):
+    """Draw mask_jitter's parameters for one mask into params, a row of
+    (radius, dr, dc, top, bottom, left, right); return the rare blob edit
+    as (operator, seed), or None."""
+    rng = rng_for(seed, "mask-jitter")
+    if cfg.dilate_radius:
+        params[0] = rng.integers(0, cfg.dilate_radius + 1)
+    if cfg.shift_max:
+        params[1] = rng.integers(-cfg.shift_max, cfg.shift_max + 1)
+        params[2] = rng.integers(-cfg.shift_max, cfg.shift_max + 1)
+    if cfg.crop_margin:
+        params[3:] = rng.integers(0, cfg.crop_margin + 1, size=4)
+    if cfg.segment_add_delete_p and rng.random() < cfg.segment_add_delete_p:
+        sub = int(rng.integers(1 << 30))
+        return (add_blob if rng.random() < 0.5 else delete_component), sub
+    return None
+
+
+def _jitter_block(masks: np.ndarray, params: np.ndarray, edits) -> np.ndarray:
+    """mask_jitter's image work on masks (n, h, w) bool, which it may
+    overwrite, with each mask's drawn params (n, 7) and edit."""
+    if params[:, 0].any():
+        masks = _dilate(masks, params[:, 0])
+    if params[:, 1:3].any():
+        masks = _shift_zero_fill(masks, params[:, 1], params[:, 2])
+    if params[:, 3:].any():
+        _crop_borders(masks, params[:, 3:])
+    for k, edit in enumerate(edits):
+        if edit is not None:
+            op, sub = edit
+            masks[k] = op(masks[k], sub)
+    return masks
+
+
 def mask_jitter(mask: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
     """Dilate -> translate -> border crop -> occasional blob add/delete."""
     if mask.dtype != np.bool_ and not np.isin(mask, (0, 1)).all():
         raise ValueError("mask_jitter expects a binary image")
-    m = mask.astype(bool)
-    rng = rng_for(cfg.seed, "mask-jitter")
-    r = int(rng.integers(0, cfg.dilate_radius + 1)) if cfg.dilate_radius else 0
-    m = binary_dilate(m, r)
-    if cfg.shift_max:
-        dr = int(rng.integers(-cfg.shift_max, cfg.shift_max + 1))
-        dc = int(rng.integers(-cfg.shift_max, cfg.shift_max + 1))
-        m = _shift_zero_fill(m, dr, dc)
-    if cfg.crop_margin:
-        widths = rng.integers(0, cfg.crop_margin + 1, size=4)
-        t, b, l, rt = (int(v) for v in widths)
-        if t:
-            m[:t, :] = False
-        if b:
-            m[m.shape[0] - b:, :] = False
-        if l:
-            m[:, :l] = False
-        if rt:
-            m[:, m.shape[1] - rt:] = False
-    if cfg.segment_add_delete_p and rng.random() < cfg.segment_add_delete_p:
-        sub = int(rng.integers(1 << 30))
-        if rng.random() < 0.5:
-            m = add_blob(m, sub)
-        else:
-            m = delete_component(m, sub)
-    return m
+    params = np.zeros((1, 7), dtype=np.int64)
+    edit = _draw_jitter(cfg.seed, cfg, params[0])
+    return _jitter_block(mask.astype(bool)[None], params, [edit])[0]
+
+
+def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
+    """Corrupt a block of (B, 7, h, w) grids: row i comes out exactly as
+    apply_suite corrupts it under cfg with seed seeds[i].
+
+    Every row's random streams are keyed as the one-image operators key
+    them, and the image work runs over many images at once: all 3B masks,
+    and the depth images _DEPTH_CHUNK rows at a time, which bounds the
+    temporaries. Only the blur goes image by image, since each image draws
+    its own sigma.
+    """
+    cfg.validate()
+    if cfg.stage != "gea":
+        raise ValueError("apply_suite takes policy-stage configs; expert-stage "
+                         "randomization acts on the scene, not on tensors")
+    out = np.array(grids, copy=True)
+    b, _, h, w = out.shape
+    if len(seeds) != b:
+        raise ValueError(f"{len(seeds)} seeds for {b} grids")
+    # draw first: each row's streams, keyed as apply_suite's operators key
+    # them; the warp normals are drawn from warp_seeds pass by pass below
+    jitter = np.zeros((3 * b, 7), dtype=np.int64)
+    edits = []
+    warp_seeds = []
+    sigmas = np.empty(3 * b)
+    holes = 0.0 < cfg.hole_rate < 1.0
+    centers = []
+    for i, seed in enumerate(seeds):
+        sub = [int(s) for s in rng_for(int(seed), "suite").integers(1 << 62, size=12)]
+        for c in range(3):
+            edits.append(_draw_jitter(sub[c], cfg, jitter[3 * i + c]))
+        warp_seeds += sub[3:6]
+        for c in range(3):
+            sigmas[3 * i + c] = rng_for(sub[6 + c], "sigma").uniform(0.0, cfg.blur_sigma)
+            if holes:
+                centers.append(_hole_centers(sub[9 + c], (h, w), cfg.hole_rate))
+
+    masks = _jitter_block((out[:, :3] >= 0.5).reshape(3 * b, h, w), jitter, edits)
+    out[:, :3] = masks.reshape(b, 3, h, w)
+    for lo in range(0, b, _DEPTH_CHUNK):
+        rows = slice(lo, lo + _DEPTH_CHUNK)
+        imgs = slice(3 * lo, 3 * (lo + _DEPTH_CHUNK))
+        depth = np.array(out[rows, 3:6], dtype=np.float64).reshape(-1, h, w)
+        if cfg.warp_mag:
+            disp = np.empty((len(depth), 2, h, w))
+            for k, seed in enumerate(warp_seeds[imgs]):
+                _warp_normals(seed, disp[k])
+            depth = _warp_block(depth, disp, cfg.warp_mag)
+        for k in np.flatnonzero(sigmas[imgs]):
+            depth[k] = gaussian_blur(depth[k], float(sigmas[imgs][k]))
+        if holes:
+            depth[_hole_mask(np.stack(centers[imgs]), (h, w))] = 0
+        elif cfg.hole_rate >= 1.0:
+            depth[:] = 0
+        out[rows, 3:6] = np.clip(depth, 0.0, None).astype(np.float32).reshape(-1, 3, h, w)
+    return out
 
 
 def apply_suite(tensor: ObsTensor, cfg: AugmentConfig) -> ObsTensor:
     """Corrupt one observation tensor. Mask channels 0-2 get jitter,
     depth channels 3-5 get warp -> blur -> holes; the gripper heatmap and
     the vector block pass through untouched."""
-    cfg.validate()
-    if cfg.stage != "gea":
-        raise ValueError("apply_suite takes policy-stage configs; expert-stage "
-                         "randomization acts on the scene, not on tensors")
-    grid = tensor.grid.copy()
-    base = rng_for(cfg.seed, "suite")
-    seeds = base.integers(1 << 62, size=12)
-    for c in range(3):
-        sub = replace(cfg, seed=int(seeds[c]))
-        grid[c] = mask_jitter(grid[c] >= 0.5, sub).astype(np.float32)
-    for c in range(3):
-        d = grid[3 + c].astype(np.float64)
-        d = depth_warp(d, cfg.warp_mag, int(seeds[3 + c]))
-        sigma_rng = rng_for(int(seeds[6 + c]), "sigma")
-        d = gaussian_blur(d, float(sigma_rng.uniform(0.0, cfg.blur_sigma)))
-        d = random_holes(d, cfg.hole_rate, int(seeds[9 + c]))
-        grid[3 + c] = np.clip(d, 0.0, None).astype(np.float32)
+    grid = augment_grids(tensor.grid[None], [cfg.seed], cfg)[0]
     return ObsTensor(grid=grid, vec=tensor.vec.copy())

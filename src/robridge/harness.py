@@ -6,6 +6,7 @@ is byte-identical across reruns with the same config and seeds.
 from __future__ import annotations
 
 import json
+import math
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,6 +62,28 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+def _section(doc: dict, name: str) -> dict:
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _number(name: str, raw, kind=int, lowest=None):
+    """A JSON number as kind (an integral float passes as an int), checked
+    >= lowest; anything else is a ConfigError naming the field."""
+    if isinstance(raw, float) and kind is int and raw.is_integer():
+        raw = int(raw)
+    numeric = (int, float) if kind is float else (int,)
+    if (isinstance(raw, bool) or not isinstance(raw, numeric)
+            or (isinstance(raw, float) and not math.isfinite(raw))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{name} must be {what}, got {raw!r}")
+    if lowest is not None and raw < lowest:
+        raise ConfigError(f"{name} must be >= {lowest}, got {raw}")
+    return kind(raw)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cat = load_catalog()
     tasks = doc.get("tasks", [])
@@ -73,50 +96,57 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for s in suites:
         if s not in cat.suites:
             raise ConfigError(f"config references unknown suite {s!r}")
-    seeds = doc.get("seeds", {})
-    if seeds.get("episodes", 1) < 1:
-        raise ConfigError("seeds.episodes must be >= 1")
+    seeds = _section(doc, "seeds")
 
     er = doc.get("expert_randomization")
-    expert_rand = ExpertRandomization(**er) if isinstance(er, dict) else (
-        ExpertRandomization() if er is None and "expert_randomization" not in doc else None)
     aug = doc.get("augment")
-    augment = AugmentConfig(**aug) if isinstance(aug, dict) else None
-    if augment is not None:
-        augment.validate()
-    gea = doc.get("gea", {})
-    dag = doc.get("dagger", {})
+    try:
+        expert_rand = ExpertRandomization(**er) if isinstance(er, dict) else (
+            ExpertRandomization() if er is None and "expert_randomization" not in doc else None)
+    except TypeError as e:
+        raise ConfigError(f"expert_randomization: {e}") from None
+    try:
+        augment = AugmentConfig(**aug) if isinstance(aug, dict) else None
+        if augment is not None:
+            augment.validate()
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"augment: {e}") from None
+    gea = _section(doc, "gea")
+    dag = _section(doc, "dagger")
     f_doc = dag.get("f", {})
-    fmap = daggerlib.PiecewiseRewardMap(
-        thresholds=tuple(f_doc.get("thresholds", (0.3, 0.7))),
-        values=tuple(f_doc.get("values", (3.0, 2.0, 1.0))))
-    loop_doc = doc.get("loop", {})
-    loop_cfg = LoopConfig(
-        status_period=int(loop_doc.get("status_period", 25)),
-        retry_budget=int(loop_doc.get("retry_budget", 2)),
-        max_ticks=int(loop_doc.get("max_ticks", 1000)),
-        primitive_timeout=int(loop_doc.get("primitive_timeout", 200)),
-    )
-    for name, lowest in (("status_period", 1), ("max_ticks", 1),
-                         ("primitive_timeout", 1), ("retry_budget", 0)):
-        if getattr(loop_cfg, name) < lowest:
-            raise ConfigError(f"loop.{name} must be >= {lowest}, "
-                              f"got {getattr(loop_cfg, name)}")
+    try:
+        fmap = daggerlib.PiecewiseRewardMap(
+            thresholds=tuple(f_doc.get("thresholds", (0.3, 0.7))),
+            values=tuple(f_doc.get("values", (3.0, 2.0, 1.0))))
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"dagger.f: {e}") from None
+    budget = dag.get("sample_budget")
+    loop_doc = _section(doc, "loop")
     return ExperimentConfig(
         tasks=list(tasks), suites=list(suites),
-        seed_base=int(seeds.get("base", 0)),
-        episodes_per_cell=int(seeds.get("episodes", 10)),
-        demos_per_task=int(doc.get("demos_per_task", 4)),
+        seed_base=_number("seeds.base", seeds.get("base", 0)),
+        episodes_per_cell=_number("seeds.episodes", seeds.get("episodes", 10), lowest=1),
+        demos_per_task=_number("demos_per_task", doc.get("demos_per_task", 4), lowest=1),
         expert_randomization=expert_rand,
         augment=augment,
-        train=TrainConfig(batch_size=int(gea.get("batch_size", 64))),
-        train_epochs=int(gea.get("epochs", 20)),
-        train_lr=float(gea.get("lr", 1e-3)),
-        dagger_n_eval=int(dag.get("n_eval", 10)),
-        dagger_iterations=int(dag.get("iterations", 10)),
+        train=TrainConfig(batch_size=_number("gea.batch_size", gea.get("batch_size", 64),
+                                             lowest=1)),
+        train_epochs=_number("gea.epochs", gea.get("epochs", 20), lowest=1),
+        train_lr=_number("gea.lr", gea.get("lr", 1e-3), float, lowest=0),
+        dagger_n_eval=_number("dagger.n_eval", dag.get("n_eval", 10), lowest=1),
+        dagger_iterations=_number("dagger.iterations", dag.get("iterations", 10), lowest=1),
         dagger_f=fmap,
-        dagger_sample_budget=dag.get("sample_budget"),
-        loop=loop_cfg,
+        dagger_sample_budget=(None if budget is None
+                              else _number("dagger.sample_budget", budget, lowest=1)),
+        loop=LoopConfig(
+            status_period=_number("loop.status_period", loop_doc.get("status_period", 25),
+                                  lowest=1),
+            retry_budget=_number("loop.retry_budget", loop_doc.get("retry_budget", 2),
+                                 lowest=0),
+            max_ticks=_number("loop.max_ticks", loop_doc.get("max_ticks", 1000), lowest=1),
+            primitive_timeout=_number("loop.primitive_timeout",
+                                      loop_doc.get("primitive_timeout", 200), lowest=1),
+        ),
         out_dir=str(doc.get("out_dir", "out")),
     )
 

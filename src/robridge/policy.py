@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .augment import augment_grids
 from .observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor, type_index
 from .util import SCHEMA_VERSION, rng_for
 
@@ -300,15 +301,9 @@ def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float,
 
 def _augment_block(grid_block: np.ndarray, augment_cfg, seed: int, epoch: int,
                    idx: np.ndarray) -> np.ndarray:
-    from dataclasses import replace
-
-    from .augment import apply_suite
-    out = np.empty((len(grid_block), GRID_IN), dtype=np.float32)
-    for row, (g, i) in enumerate(zip(grid_block, idx)):
-        cfg_i = replace(augment_cfg, seed=int(rng_for(seed, "aug", epoch, int(i)).integers(1 << 62)))
-        t = apply_suite(ObsTensor(grid=g, vec=np.zeros(VEC_DIM, dtype=np.float32)), cfg_i)
-        out[row] = t.grid.reshape(-1)
-    return out
+    seeds = [int(rng_for(seed, "aug", epoch, int(i)).integers(1 << 62)) for i in idx]
+    out = augment_grids(grid_block, seeds, augment_cfg)
+    return out.reshape(len(idx), GRID_IN).astype(np.float32, copy=False)
 
 
 _MAGIC = b"RBPOLICY"

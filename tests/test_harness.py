@@ -48,6 +48,34 @@ def test_config_unknown_suite(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("over,field", [
+    ({"seeds": {"base": "0"}}, "seeds.base"),
+    ({"seeds": [1]}, "seeds"),
+    ({"demos_per_task": 0}, "demos_per_task"),
+    ({"gea": {"batch_size": 0}}, "gea.batch_size"),
+    ({"gea": {"epochs": 1.5}}, "gea.epochs"),
+    ({"gea": {"lr": float("nan")}}, "gea.lr"),
+    ({"dagger": {"n_eval": True}}, "dagger.n_eval"),
+    ({"dagger": {"iterations": 0}}, "dagger.iterations"),
+    ({"dagger": {"sample_budget": 0}}, "dagger.sample_budget"),
+    ({"dagger": {"sample_budget": "100"}}, "dagger.sample_budget"),
+    ({"dagger": {"f": {"values": [1.0]}}}, "dagger.f"),
+    ({"expert_randomization": {"tilt": 1}}, "expert_randomization"),
+    ({"augment": {"warp_mag": "big"}}, "warp_mag"),
+])
+def test_config_bad_numbers_name_the_field(over, field):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({"tasks": ["press-button"], **over})
+
+
+def test_config_number_fields_cast():
+    cfg = config_from_dict({"tasks": ["press-button"], "seeds": {"episodes": 3.0},
+                            "dagger": {"sample_budget": 500}})
+    assert (cfg.episodes_per_cell, cfg.dagger_sample_budget) == (3, 500)
+    assert type(cfg.episodes_per_cell) is int
+    assert config_from_dict({"tasks": ["press-button"]}).dagger_sample_budget is None
+
+
 def test_config_schema_version(tmp_path):
     path = small_config(tmp_path, schema_version=99)
     from robridge.util import SchemaVersionError
@@ -184,6 +212,16 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
                          "--out", str(tmp_path / "x")]) == 2
         assert f"loop.{next(iter(loop))}" in capsys.readouterr().err
+    # values of the wrong type, and bad augment sections, are config errors too
+    for i, (over, field) in enumerate([
+            ({"loop": {"status_period": "x"}}, "loop.status_period"),
+            ({"seeds": {"base": 0, "episodes": "3"}}, "seeds.episodes"),
+            ({"augment": {"seed": 1, "no_such_field": 1}}, "no_such_field"),
+            ({"augment": {"hole_rate": 2}}, "hole_rate")]):
+        bad = small_config(tmp_path / f"bad_type{i}", **over)
+        assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
+                         "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
     assert cli_main(["collect", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / "manifest.json").exists()
     # ROBRIDGE_OUT fallback

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,21 @@ def test_train_loss_trend_non_increasing():
     losses = np.array(metrics["loss"])
     smooth = np.convolve(losses, np.ones(10) / 10, mode="valid")
     assert (np.diff(smooth) <= 1e-5).all()
+
+
+def test_train_augmented_golden(tmp_path):
+    # one expert demo (50 samples), batches of 24, 24 and 2: checkpoint and
+    # losses of augmented training are pinned to the bit
+    from robridge.augment import AugmentConfig
+    from robridge.experts import rollout_expert
+    ds = Dataset.from_trajectories([rollout_expert("pick-place", seed=3)])
+    assert len(ds) == 50
+    p, metrics = train(init_params(1), ds, epochs=2, lr=1e-3, seed=4,
+                       cfg=TrainConfig(batch_size=24), augment_cfg=AugmentConfig(seed=7))
+    save_params(p, tmp_path / "policy.bin")
+    digest = hashlib.sha256((tmp_path / "policy.bin").read_bytes()).hexdigest()
+    assert digest == "8ef7113eb86958233aeff6b4312a197cfcb4f29ac659cf29b62f9876697b912e"
+    assert metrics["loss"] == [0.19780520694330334, 0.11702315881848335]
 
 
 def test_train_rejects_empty_dataset():
