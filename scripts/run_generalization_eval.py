@@ -22,7 +22,6 @@ def main():
                              "unseen_color", "unseen_camera"])
     ap.add_argument("--tasks", nargs="+", default=None)
     ap.add_argument("--out", default="out/eval")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     from robridge.tasks import load_catalog
@@ -34,7 +33,7 @@ def main():
         "seeds": {"base": args.seed_base, "episodes": args.episodes},
         "loop": {"max_ticks": 400},
     })
-    cmd_eval(cfg, args.checkpoint, Path(args.out), jobs=args.jobs)
+    cmd_eval(cfg, args.checkpoint, Path(args.out))
     print((Path(args.out) / "table.txt").read_text())
 
 

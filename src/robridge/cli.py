@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed-base", type=int, default=None, help="override seeds.base")
         p.add_argument("--suite", default=None, help="restrict to one suite")
-        p.add_argument("--jobs", type=int, default=1, help="parallel episode workers")
 
     common(sub.add_parser("collect", help="collect expert demonstrations"))
     common(sub.add_parser("dagger", help="run the adaptive-sampling trainer"))
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
             result = cmd_dagger(config, out)
             print(f"trainer finished; final checkpoint {result['checkpoint']}")
         elif args.command == "eval":
-            doc = cmd_eval(config, args.checkpoint, out, jobs=args.jobs)
+            doc = cmd_eval(config, args.checkpoint, out)
             print((out / "table.txt").read_text(), end="")
             _ = doc
         elif args.command == "replay":

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,15 @@ import numpy as np
 from . import dagger as daggerlib
 from .augment import AugmentConfig
 from .experts import ExpertError, rollout_expert
-from .loop import ExpertAsPolicy, LoopConfig, NetPolicy, ZeroPolicy, run_episode, run_long_horizon
+from .loop import (
+    ExpertAsPolicy,
+    LoopConfig,
+    NetPolicy,
+    ZeroPolicy,
+    apply_fault,
+    run_episode,
+    run_long_horizon,
+)
 from .policy import TrainConfig, load_params, save_params
 from .render import render
 from .tasks import ExpertRandomization, instantiate, load_catalog
@@ -278,7 +285,14 @@ def _policy_for(checkpoint: str):
 def cmd_eval(config: ExperimentConfig, checkpoint: str, out_dir: Path,
              jobs: int = 1) -> dict:
     """Success-rate table over tasks x suites, plus stage counts for any
-    multi-stage tasks in the config."""
+    multi-stage tasks in the config.
+
+    Episodes always run one after another on the calling thread, in cell
+    order. A tick is mostly short numpy calls that hold the GIL, so a
+    thread pool only added lock hand-offs: two threads were slower than
+    one. ``jobs`` is ignored; it stays only because the benchmark's
+    workloads pass it.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = _policy_for(checkpoint)
@@ -286,29 +300,12 @@ def cmd_eval(config: ExperimentConfig, checkpoint: str, out_dir: Path,
     plain = [tid for tid in config.tasks if not cat.task(tid).stages]
     staged = [tid for tid in config.tasks if cat.task(tid).stages]
 
-    cells = [(tid, suite, config.seed_base + k)
-             for tid in plain for suite in config.suites
-             for k in range(config.episodes_per_cell)]
-
-    def one(cell):
-        tid, suite, seed = cell
-        res = run_episode(tid, policy, config.loop, suite=suite, seed=seed)
-        return cell, res.success
-
-    results = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for cell, ok in ex.map(one, cells):
-                results[cell] = ok
-    else:
-        for cell in cells:
-            results[cell] = one(cell)[1]
-
     table = {}
     for tid in plain:
         row = {}
         for suite in config.suites:
-            oks = [results[(tid, suite, config.seed_base + k)]
+            oks = [run_episode(tid, policy, config.loop, suite=suite,
+                               seed=config.seed_base + k).success
                    for k in range(config.episodes_per_cell)]
             row[suite] = float(np.mean(oks)) if oks else 0.0
         row["Mean"] = float(np.mean([row[s] for s in config.suites]))
@@ -390,6 +387,8 @@ def cmd_replay(log_path: Path, out_dir: Path) -> dict:
         timeline.append(f"tick {rec['tick']:5d}  cursor {rec['cursor']}  "
                         f"{rec['primitive']:<6s} {rec['obj']:<18s} reward {rec['reward']:.3f}")
         world = step(world, np.array(rec["action"]))
+        if "fault" in rec:
+            apply_fault(world, rec["fault"])
         frame = render(world, cam3, cam1)
     final_digest = frame_digest(frame)
     (out_dir / "timeline.txt").write_text("\n".join(timeline) + "\n", encoding="utf-8")

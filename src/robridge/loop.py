@@ -13,7 +13,7 @@ consumes a retry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,13 +139,10 @@ class _EpisodeFailed(Exception):
         self.reason = reason
 
 
-def _fire_fault(world: WorldState, fault: FaultConfig, seed: int) -> None:
-    g = world.gripper
-    if g.holding is None:
-        return
-    ent = world.entity(g.holding)
-    g.holding = None
-    world.held_offset = None
+def _fire_fault(world: WorldState, fault: FaultConfig, seed: int) -> dict:
+    """Where the fault knocks the held object to, as an event for
+    ``apply_fault`` and the episode log."""
+    ent = world.entity(world.gripper.holding)
     rng = rng_for(seed, "fault", ent.id, world.tick)
     base = float(rng.uniform(0.0, 2.0 * np.pi))
     fixtures = [e for e in world.entities if not e.graspable]
@@ -162,8 +159,29 @@ def _fire_fault(world: WorldState, fault: FaultConfig, seed: int) -> None:
             best, best_score = (x, y), score
     if best is None:
         best = (ent.pose[0], ent.pose[1])
-    ent.pose[0], ent.pose[1] = best
-    ent.pose[2] = support_height(world, ent)
+    pose = ent.pose.copy()
+    pose[0], pose[1] = best
+    pose[2] = support_height(world, replace(ent, pose=pose))
+    return {"entity": ent.id, "pose": [float(v) for v in pose]}
+
+
+def apply_fault(world: WorldState, event: dict) -> None:
+    """Make a fault firing (see ``_fire_fault``): release the grip and put
+    the entity at its landing pose. The live episode and ``cmd_replay``
+    both call this after the tick's step."""
+    world.gripper.holding = None
+    world.held_offset = None
+    world.entity(event["entity"]).pose[:] = event["pose"]
+
+
+def _episode_noise(noise: GroundingNoise | StatusNoise | None, task_id: str,
+                   seed: int) -> GroundingNoise | StatusNoise | None:
+    """A copy of a noise config keyed on the episode, so that tasks and
+    seeds do not all see flips at the same ticks."""
+    if noise is None:
+        return None
+    key = rng_for(noise.seed, task_id, int(seed), "noise").integers(1 << 31)
+    return replace(noise, seed=int(key))
 
 
 def _begin_primitive(plan: Plan, world: WorldState, frame, cfg: LoopConfig):
@@ -202,6 +220,8 @@ def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
     cat = tasklib.load_catalog()
     if isinstance(task, str):
         task = cat.task(task)
+    cfg = replace(cfg, status_noise=_episode_noise(cfg.status_noise, task.id, seed),
+                  grounding_noise=_episode_noise(cfg.grounding_noise, task.id, seed))
     world, instruction, cams = tasklib.instantiate(task.id, suite, seed, expert_rand)
     cam3, cam1 = cams
 
@@ -299,8 +319,9 @@ def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
 
         world = step(world, action)
 
+        fired = None
         if cfg.fault is not None:
-            _update_fault(world, cfg.fault, fault_state, seed)
+            fired = _update_fault(world, cfg.fault, fault_state, seed)
 
         r = tasklib.reward(task, world)
         if cfg.record:
@@ -308,12 +329,15 @@ def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
                 tensor.to_bytes(), np.asarray(action, dtype=np.float32), r,
                 frame_digest(frame)))
         if cfg.log_path:
-            log_lines.append(json.dumps({
+            rec = {
                 "tick": world.tick, "cursor": plan.cursor,
                 "primitive": plan.current.type, "obj": plan.current.obj,
                 "action": [float(a) for a in action],
                 "digest": frame_digest(frame), "reward": r,
-            }, sort_keys=True))
+            }
+            if fired is not None:
+                rec["fault"] = fired
+            log_lines.append(json.dumps(rec, sort_keys=True))
 
         while task.stages and stage_idx < len(task.stages):
             stage = task.stages[stage_idx]
@@ -333,7 +357,9 @@ def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
     return _finish(result, task, world, frame, cfg, log_lines, stage_idx)
 
 
-def _update_fault(world: WorldState, fault: FaultConfig, fs: dict, seed: int) -> None:
+def _update_fault(world: WorldState, fault: FaultConfig, fs: dict, seed: int) -> dict | None:
+    """Advance the fault's hold counters; returns the firing, if one happened."""
+    fired = None
     holding = world.gripper.holding is not None
     if holding and not fs["was_holding"]:
         fs["events"] += 1
@@ -343,9 +369,11 @@ def _update_fault(world: WorldState, fault: FaultConfig, fs: dict, seed: int) ->
         if (fs["fires"] < fault.max_fires
                 and fs["events"] >= fault.fire_on_hold_event
                 and fs["hold_run"] >= fault.hold_ticks):
-            _fire_fault(world, fault, seed)
+            fired = _fire_fault(world, fault, seed)
+            apply_fault(world, fired)
             fs["fires"] += 1
     fs["was_holding"] = world.gripper.holding is not None
+    return fired
 
 
 def _recover(plan: Plan, state: LoopState, world: WorldState, frame, cfg: LoopConfig,

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from robridge import harness
 from robridge.cli import main as cli_main
 from robridge.harness import (
     ConfigError,
@@ -14,7 +18,7 @@ from robridge.harness import (
     config_from_dict,
     load_config,
 )
-from robridge.loop import ExpertAsPolicy, LoopConfig, run_episode
+from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
 
 
 def small_config(tmp_path, **over):
@@ -161,6 +165,23 @@ def test_eval_parallel_matches_serial(tmp_path):
     assert a == b
 
 
+def test_eval_runs_on_calling_thread(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_episode(task, policy, cfg, suite="nominal", seed=0):
+        calls.append((threading.get_ident(), (task, suite, seed)))
+        return SimpleNamespace(success=seed % 2 == 0)
+
+    monkeypatch.setattr(harness, "run_episode", fake_episode)
+    cfg = load_config(small_config(tmp_path, suites=["nominal", "unseen_camera"]))
+    doc = cmd_eval(cfg, "zero", tmp_path / "e", jobs=2)
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    assert [cell for _, cell in calls] == [
+        (tid, suite, k) for tid in ("press-button", "open-drawer")
+        for suite in ("nominal", "unseen_camera") for k in (0, 1)]
+    assert doc["table"]["press-button"] == {"nominal": 0.5, "unseen_camera": 0.5, "Mean": 0.5}
+
+
 def test_eval_stage_table(tmp_path):
     cfg = load_config(small_config(tmp_path, tasks=["pick-insert"],
                                    seeds={"base": 0, "episodes": 2}))
@@ -183,6 +204,23 @@ def test_replay_roundtrip(tmp_path):
     head = frames[0].read_bytes()[:15]
     assert head.startswith(b"P6\n128 128\n255")
     assert (out / "timeline.txt").read_text().count("\n") == res.ticks
+    # no fault fired, so the log carries no fault records and its bytes are pinned
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "7db54d1eeec5a88dec986d9709cfcb8c5da3852e0ba57682b33e5a2bd32278c2")
+
+
+def test_replay_roundtrip_with_fault(tmp_path):
+    log = tmp_path / "ep.jsonl"
+    res = run_episode("pick-place", ExpertAsPolicy(),
+                      LoopConfig(fault=FaultConfig(), log_path=str(log)), seed=1)
+    assert res.success
+    records = [json.loads(ln) for ln in log.read_text().splitlines()[1:-1]]
+    fired = [r["fault"] for r in records if "fault" in r]
+    assert len(fired) == FaultConfig().max_fires
+    assert set(fired[0]) == {"entity", "pose"} and len(fired[0]["pose"]) == 4
+    info = cmd_replay(log, tmp_path / "replay")
+    assert info["final_digest"] == res.final_digest
+    assert info["frames"] == res.ticks
 
 
 def test_replay_rejects_empty_log(tmp_path):

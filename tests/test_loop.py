@@ -83,6 +83,21 @@ def test_status_noise_can_derail():
     assert noisy.status_events != clean.status_events
 
 
+def test_status_noise_keyed_per_episode():
+    def verdicts(seed, noise):
+        cfg = LoopConfig(status_noise=noise, status_period=5, retry_budget=50, max_ticks=120)
+        res = run_episode("press-button", ExpertAsPolicy(), cfg, seed=seed)
+        return [(e["tick"], e["verdict"]) for e in res.status_events]
+
+    # without noise the two seeds check at the same ticks with the same verdicts,
+    # so any difference under noise comes from the per-episode noise key
+    assert verdicts(0, None) == verdicts(1, None)
+    noise = StatusNoise(rate=0.5, seed=0)
+    first = verdicts(0, noise)
+    assert first != verdicts(1, noise)
+    assert first == verdicts(0, noise)
+
+
 def test_long_horizon_expert_completes_all_stages():
     assert run_long_horizon("pick-insert", ExpertAsPolicy(), LoopConfig(), seed=1) == 4
 
