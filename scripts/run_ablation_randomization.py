@@ -3,16 +3,22 @@
 
 "Randomized": demos collected under scene randomization plus mask/depth
 corruption during training. "Plain": fixed nominal scenes, no corruption.
+Both arms run through robridge.harness, the code the CLI runs.
+
+Writes to the workdir: rand/ and plain/ (stores, manifest.json,
+bc/checkpoint.bin), and eval_rand/ and eval_plain/ (table.json, table.txt).
 """
 
 import argparse
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
-from robridge.experiments import ExperimentScales, collect_stores, train_bc
-from robridge.loop import NetPolicy
-from robridge.experiments import success_rate
-from robridge.tasks import ExpertRandomization, load_catalog
+from robridge.augment import training_augment
+from robridge.harness import cmd_bc, cmd_collect, cmd_eval, config_from_dict
+from robridge.tasks import load_catalog
+
+SUITES = ("nominal", "unseen_camera")
 
 
 def main():
@@ -22,24 +28,24 @@ def main():
     ap.add_argument("--workdir", default=None)
     args = ap.parse_args()
 
-    cat = load_catalog()
-    tasks = cat.training_ids()
     work = Path(args.workdir) if args.workdir else Path(tempfile.mkdtemp(prefix="ablation_rand_"))
     print(f"workdir: {work}")
-
-    scales_rand = ExperimentScales(expert_rand=ExpertRandomization())
-    stores_rand = collect_stores(work / "rand", tasks, scales_rand.bc_demos_per_task,
-                                 scales_rand.expert_rand, scales_rand.seed)
-    p_rand = train_bc(stores_rand, scales_rand, augmented=True)
-
-    scales_plain = ExperimentScales()
-    stores_plain = collect_stores(work / "plain", tasks, scales_plain.bc_demos_per_task,
-                                  None, scales_plain.seed)
-    p_plain = train_bc(stores_plain, scales_plain, augmented=False)
-
-    for suite in ("nominal", "unseen_camera"):
-        r = success_rate(NetPolicy(p_rand), tasks, suite, args.episodes, args.seed_base)
-        p = success_rate(NetPolicy(p_plain), tasks, suite, args.episodes, args.seed_base)
+    train = {"schema_version": 1, "tasks": load_catalog().training_ids(),
+             "demos_per_task": 10, "gea": {"epochs": 120, "lr": 1e-3}}
+    arms = {
+        "rand": config_from_dict({**train, "augment": asdict(training_augment())}),
+        "plain": config_from_dict({**train, "expert_randomization": None}),
+    }
+    eval_cfg = config_from_dict({**train, "suites": list(SUITES), "loop": {"max_ticks": 400},
+                                 "seeds": {"base": args.seed_base, "episodes": args.episodes}})
+    rates = {}
+    for name, cfg in arms.items():
+        cmd_collect(cfg, work / name)
+        checkpoint = cmd_bc(cfg, work / name)["checkpoint"]
+        table = cmd_eval(eval_cfg, checkpoint, work / f"eval_{name}")["table"]
+        rates[name] = {s: sum(row[s] for row in table.values()) / len(table) for s in SUITES}
+    for suite in SUITES:
+        r, p = rates["rand"][suite], rates["plain"][suite]
         print(f"{suite:14s} randomized={r:.3f} plain={p:.3f} gap={100*(r-p):+.1f} pp")
 
 

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Evaluate a checkpoint (or the scripted expert) over tasks x suites.
 
+Runs robridge.harness.cmd_eval, the code the CLI runs, and writes
+table.json and table.txt (plus stages.txt for multi-stage tasks) to --out.
+
 Example:
     python scripts/run_generalization_eval.py --checkpoint expert --episodes 20
     python scripts/run_generalization_eval.py --checkpoint out/dagger/iter_09/checkpoint.bin

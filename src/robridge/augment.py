@@ -79,6 +79,18 @@ def expert_stage_config(seed: int = 0) -> AugmentConfig:
                          segment_add_delete_p=0.0, seed=seed)
 
 
+def training_augment(seed: int = 1234) -> AugmentConfig:
+    """Policy-stage corruption magnitudes used by the training experiments.
+
+    Milder than the AugmentConfig class defaults: retuned so replayed
+    experts still succeed on corrupted inputs at this scale (depth noise
+    stays well under the 1 cm grasp tolerance).
+    """
+    return AugmentConfig(warp_mag=0.5, blur_sigma=1.0, hole_rate=0.05,
+                         dilate_radius=1, shift_max=2, crop_margin=1,
+                         segment_add_delete_p=0.08, seed=seed)
+
+
 def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample each image of img (n, h, w) at its own (rows, cols), each
     (n, h, w) float64 and overwritten here."""

@@ -20,7 +20,7 @@ from pathlib import Path
 from .experts import ExpertError
 from .harness import ConfigError, cmd_collect, cmd_dagger, cmd_eval, cmd_replay, load_config
 from .policy import CheckpointError
-from .tasks import UnknownTaskError
+from .tasks import UnknownTaskError, load_catalog
 from .util import SchemaVersionError
 
 EXIT_OK = 0
@@ -69,10 +69,9 @@ def main(argv=None) -> int:
             if args.seed_base is not None:
                 config.seed_base = args.seed_base
             if args.suite is not None:
-                if args.suite not in config.suites:
-                    config.suites = [args.suite]
-                else:
-                    config.suites = [args.suite]
+                if args.suite not in load_catalog().suites:
+                    raise ConfigError(f"unknown suite {args.suite!r}")
+                config.suites = [args.suite]
         out = _resolve_out(args, config)
     except (ConfigError, SchemaVersionError, UnknownTaskError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -87,9 +86,8 @@ def main(argv=None) -> int:
             result = cmd_dagger(config, out)
             print(f"trainer finished; final checkpoint {result['checkpoint']}")
         elif args.command == "eval":
-            doc = cmd_eval(config, args.checkpoint, out)
+            cmd_eval(config, args.checkpoint, out)
             print((out / "table.txt").read_text(), end="")
-            _ = doc
         elif args.command == "replay":
             info = cmd_replay(Path(args.log), out)
             print(f"replayed {info['frames']} frames -> {out}; "

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .experts import ExpertError, ExpertPolicy, Trajectory, TrajectoryStep, expert_action
-from .experts import load_trajectory, rollout_expert, save_trajectory
+from .experts import load_trajectory, save_trajectory
 from .policy import Dataset, PolicyParams, TrainConfig
 from .policy import train as train_policy
-from .tasks import ExpertRandomization
 from .util import SCHEMA_VERSION, digest_file, rng_for
 
 log = logging.getLogger("robridge.dagger")
@@ -117,43 +116,27 @@ class DaggerState:
 
 @dataclass
 class DaggerConfig:
-    demos_per_task: int = 4
-    n_eval: int = 10
-    iterations: int = 10
     seed: int = 0
     train_epochs: int = 4
     lr: float = 1e-3
-    sample_budget: int | None = None       # stop relabeling once total samples reach this
+    sample_budget: int | None = None       # stop relabeling once stored steps reach this
     relabel_max_steps: int = 300
-    expert_rand: ExpertRandomization | None = None
     augment_cfg: object | None = None
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     loop_cfg: object | None = None
 
 
-def init(task_ids: list[str], demos_per_task: int, f: PiecewiseRewardMap,
-         n_eval: int, store_root: Path, seed: int = 0,
-         expert_rand: ExpertRandomization | None = None,
-         collect_fn=None) -> DaggerState:
-    """Equal weights and demos_per_task expert trajectories per task."""
-    if demos_per_task < 1:
-        raise ValueError("demos_per_task must be >= 1")
-    collect_fn = collect_fn or rollout_expert
-    weights = {tid: 1.0 for tid in task_ids}
-    stores = {}
-    for tid in task_ids:
-        store = DemoStore(store_root, tid)
-        stores[tid] = store
-        attempts = 0
-        while len(store) < demos_per_task:
-            demo_seed = int(rng_for(seed, tid, "seed-demo", attempts).integers(1 << 31))
-            attempts += 1
-            if attempts > demos_per_task * 5:
-                raise ExpertError(f"expert kept failing while seeding {tid!r}")
-            traj = collect_fn(tid, demo_seed, expert_rand)
-            if traj.success:
-                store.append(traj)
-    return DaggerState(weights=weights, stores=stores, f=f, n_eval=n_eval)
+def init(stores: dict[str, DemoStore], f: PiecewiseRewardMap, n_eval: int) -> DaggerState:
+    """Equal sampling weights over already-seeded demo stores."""
+    return DaggerState(weights={tid: 1.0 for tid in stores}, stores=stores, f=f, n_eval=n_eval)
+
+
+def dataset_from_stores(stores: dict[str, DemoStore]) -> Dataset:
+    """Every stored trajectory as training triples, tasks in sorted order."""
+    trajs = []
+    for tid in sorted(stores):
+        trajs.extend(stores[tid].trajectories())
+    return Dataset.from_trajectories(trajs)
 
 
 def _default_rollout(task_id: str, seed: int, policy_params: PolicyParams, cfg: DaggerConfig):
@@ -184,11 +167,8 @@ def _default_relabel(task_id: str, visited, cfg: DaggerConfig) -> Trajectory | N
 
 
 def _train_on_union(policy_params: PolicyParams, state: DaggerState, cfg: DaggerConfig):
-    trajs = []
-    for tid in sorted(state.stores):
-        trajs.extend(state.stores[tid].trajectories())
-    dataset = Dataset.from_trajectories(trajs)
-    return train_policy(policy_params, dataset, cfg.train_epochs, cfg.lr,
+    return train_policy(policy_params, dataset_from_stores(state.stores),
+                        cfg.train_epochs, cfg.lr,
                         seed=cfg.seed + state.iteration, cfg=cfg.train_cfg,
                         augment_cfg=cfg.augment_cfg)
 

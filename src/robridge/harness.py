@@ -23,12 +23,11 @@ from .loop import (
     ZeroPolicy,
     apply_fault,
     run_episode,
-    run_long_horizon,
 )
-from .policy import TrainConfig, load_params, save_params
+from .policy import TrainConfig, init_params, load_params, save_params
 from .render import render
 from .tasks import ExpertRandomization, instantiate, load_catalog
-from .util import SCHEMA_VERSION, check_schema_version, digest_file
+from .util import SCHEMA_VERSION, check_schema_version, rng_for
 from .world import step
 
 BANNER = ("# desk-scale simulator results; absolute rates are not comparable to\n"
@@ -172,7 +171,6 @@ def cmd_collect(config: ExperimentConfig, out_dir: Path) -> dict:
         store = daggerlib.DemoStore(store_root, tid)
         attempts = 0
         while len(store) < config.demos_per_task:
-            from .util import rng_for
             demo_seed = int(rng_for(config.seed_base, tid, "seed-demo", attempts).integers(1 << 31))
             attempts += 1
             if attempts > config.demos_per_task * 5:
@@ -195,12 +193,41 @@ def cmd_collect(config: ExperimentConfig, out_dir: Path) -> dict:
 # ---------------------------------------------------------------------------
 # trainer runs
 
-def cmd_dagger(config: ExperimentConfig, out_dir: Path, stores_from: Path | None = None) -> dict:
-    """Run the adaptive-sampling trainer to budget, checkpointing each iteration."""
-    from .policy import init_params
+def _open_stores(config: ExperimentConfig, root: Path) -> dict[str, daggerlib.DemoStore]:
+    """The config's demo stores under root; each must hold demos that load."""
+    if not root.exists():
+        raise ConfigError(f"no demo stores at {root}; run collect first")
+    stores = {tid: daggerlib.DemoStore(root, tid) for tid in config.tasks}
+    for tid, store in stores.items():
+        if len(store) == 0:
+            raise ConfigError(f"store for {tid!r} is empty")
+        for name in store.file_digests():
+            try:
+                daggerlib.load_trajectory(store.dir / name)
+            except Exception as e:
+                raise RuntimeError(f"corrupt trajectory file {store.dir / name}: {e}")
+    return stores
 
+
+def cmd_bc(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Behavior cloning on the collected stores: one training run from
+    fresh parameters, the same step DAgger takes before its first rollout."""
     out_dir = Path(out_dir)
-    src_root = Path(stores_from) if stores_from else out_dir / "stores"
+    stores = _open_stores(config, out_dir / "stores")
+    dataset = daggerlib.dataset_from_stores(stores)
+    params, _ = daggerlib.train_policy(
+        init_params(config.seed_base), dataset, config.train_epochs, config.train_lr,
+        seed=config.seed_base, cfg=config.train, augment_cfg=config.augment)
+    checkpoint = out_dir / "bc" / "checkpoint.bin"
+    checkpoint.parent.mkdir(parents=True, exist_ok=True)
+    save_params(params, checkpoint)
+    return {"checkpoint": str(checkpoint)}
+
+
+def cmd_dagger(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Run the adaptive-sampling trainer to budget, checkpointing each iteration."""
+    out_dir = Path(out_dir)
+    src_root = out_dir / "stores"
     if not src_root.exists():
         raise ConfigError(f"no demo stores at {src_root}; run collect first")
     work_root = out_dir / "dagger" / "stores"
@@ -208,24 +235,10 @@ def cmd_dagger(config: ExperimentConfig, out_dir: Path, stores_from: Path | None
         shutil.rmtree(work_root)
     shutil.copytree(src_root, work_root)
 
-    stores = {tid: daggerlib.DemoStore(work_root, tid) for tid in config.tasks}
-    for tid, store in stores.items():
-        if len(store) == 0:
-            raise ConfigError(f"store for {tid!r} is empty")
-        for name in store.file_digests():
-            try:
-                from .experts import load_trajectory
-                load_trajectory(store.dir / name)
-            except Exception as e:
-                raise RuntimeError(f"corrupt trajectory file {store.dir / name}: {e}")
-
-    state = daggerlib.DaggerState(
-        weights={tid: 1.0 for tid in config.tasks}, stores=stores,
-        f=config.dagger_f, n_eval=config.dagger_n_eval)
+    state = daggerlib.init(_open_stores(config, work_root), config.dagger_f,
+                           config.dagger_n_eval)
     dcfg = daggerlib.DaggerConfig(
-        demos_per_task=config.demos_per_task, n_eval=config.dagger_n_eval,
-        iterations=config.dagger_iterations, seed=config.seed_base,
-        train_epochs=config.train_epochs, lr=config.train_lr,
+        seed=config.seed_base, train_epochs=config.train_epochs, lr=config.train_lr,
         sample_budget=config.dagger_sample_budget,
         augment_cfg=config.augment, train_cfg=config.train,
         loop_cfg=config.loop)
@@ -317,10 +330,9 @@ def cmd_eval(config: ExperimentConfig, checkpoint: str, out_dir: Path,
     if staged:
         stage_doc = {}
         for tid in staged:
-            counts = []
-            for k in range(config.episodes_per_cell):
-                counts.append(run_long_horizon(tid, policy, config.loop,
-                                               seed=config.seed_base + k))
+            counts = [run_episode(tid, policy, config.loop,
+                                  seed=config.seed_base + k).stages_completed
+                      for k in range(config.episodes_per_cell)]
             n_stages = len(cat.task(tid).stages)
             hist = {str(s): sum(1 for c in counts if c >= s) / len(counts)
                     for s in range(1, n_stages + 1)}

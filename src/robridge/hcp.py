@@ -30,7 +30,9 @@ from .world import (
     WorldState,
     effective_pose,
     entity_top,
+    footprint_contains,
     handle_point,
+    placed_on,
 )
 
 log = logging.getLogger("robridge.planner")
@@ -291,7 +293,7 @@ def primitive_succeeded(action: PrimitiveAction, world: WorldState) -> bool:
     if t == "grasp":
         return world.gripper.holding == world.find(action.obj).id
     if t == "place":
-        return _released_on(world, action.obj, action.des)
+        return action.des is not None and placed_on(world, action.obj, action.des)
     if t == "push":
         ent = world.find(action.obj)
         if ent.articulation is not None:
@@ -299,7 +301,6 @@ def primitive_succeeded(action: PrimitiveAction, world: WorldState) -> bool:
         if action.des is None:
             return False
         p = effective_pose(ent)
-        from .world import footprint_contains
         return (world.gripper.holding != ent.id
                 and footprint_contains(world.find(action.des), p[0], p[1]))
     if t in HI_END_TYPES:
@@ -307,18 +308,6 @@ def primitive_succeeded(action: PrimitiveAction, world: WorldState) -> bool:
     if t in LO_END_TYPES:
         return _coord_done(world.find(action.obj), "lo")
     raise ValueError(f"unknown primitive type {t!r}")
-
-
-def _released_on(world: WorldState, obj_name: str, des_name: str | None) -> bool:
-    if des_name is None:
-        return False
-    obj = world.find(obj_name)
-    if world.gripper.holding == obj.id:
-        return False
-    from .world import footprint_contains
-    des = world.find(des_name)
-    p = effective_pose(obj)
-    return footprint_contains(des, p[0], p[1]) and p[2] <= entity_top(des) + 2e-3
 
 
 def check_status(action: PrimitiveAction, frame: Frame, world: WorldState,

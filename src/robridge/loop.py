@@ -417,14 +417,3 @@ def _finish(result: EpisodeResult, task: TaskSpec, world: WorldState, frame,
             f.write("\n".join(log_lines) + "\n")
     return result
 
-
-def run_long_horizon(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
-                     suite: str = "nominal", seed: int = 0) -> int:
-    """Count of consecutive stage predicates satisfied, in order."""
-    cat = tasklib.load_catalog()
-    if isinstance(task, str):
-        task = cat.task(task)
-    if not task.stages:
-        raise ValueError(f"task {task.id!r} defines no stages")
-    result = run_episode(task, policy, cfg, suite=suite, seed=seed)
-    return result.stages_completed

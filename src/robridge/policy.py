@@ -165,11 +165,6 @@ def loss_and_grad_arrays(p: PolicyParams, xg, xv, y_true):
     return loss, grads
 
 
-def loss_and_grad(params: PolicyParams, batch: Batch) -> tuple[float, PolicyParams]:
-    xg, xv, y = batch.arrays(dtype=params.dtype)
-    return loss_and_grad_arrays(params, xg, xv, y)
-
-
 @dataclass
 class Dataset:
     """Flat arrays of (grid, vec, action) training triples."""
@@ -214,8 +209,6 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 20
-    lr: float = 3e-4
     batch_size: int = 64
     beta1: float = 0.9
     beta2: float = 0.999

@@ -11,7 +11,6 @@ import copy
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -151,11 +150,6 @@ def parse_scene(doc: dict) -> SceneSpec:
         gripper_aperture=aperture,
         entities=entities,
     )
-
-
-def load_scene_file(path: str | Path) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_scene(json.load(f))
 
 
 def load_packaged_scene(name: str) -> SceneSpec:

@@ -24,6 +24,7 @@ from .world import (
     entity_top,
     first_camera,
     footprint_contains,
+    placed_on,
     third_camera,
 )
 
@@ -225,18 +226,9 @@ def _xy_dist(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _placed(world: WorldState, obj_name: str, des_name: str) -> bool:
-    obj = world.find(obj_name)
-    des = world.find(des_name)
-    if world.gripper.holding == obj.id:
-        return False
-    p = effective_pose(obj)
-    return bool(footprint_contains(des, p[0], p[1]) and p[2] <= entity_top(des) + 2e-3)
-
-
 def is_success(task: TaskSpec, world: WorldState) -> bool:
     if task.family == "pick_place":
-        return _placed(world, task.obj, task.des)
+        return placed_on(world, task.obj, task.des)
     if task.family == "articulated":
         coord = world.find(task.obj).articulation.coordinate
         if task.goal_end == "hi":
@@ -262,7 +254,7 @@ def stage_satisfied(world: WorldState, stage: list[str]) -> bool:
     if kind == "hold":
         return world.gripper.holding == world.find(stage[1]).id
     if kind == "placed":
-        return _placed(world, stage[1], stage[2])
+        return placed_on(world, stage[1], stage[2])
     raise ValueError(f"unknown stage kind {kind!r}")
 
 

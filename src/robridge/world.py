@@ -228,6 +228,17 @@ def footprint_contains(e: Entity, x: float, y: float) -> bool:
     return abs(lx) <= e.dims[0] / 2.0 and abs(ly) <= e.dims[1] / 2.0
 
 
+def placed_on(world: WorldState, obj_name: str, des_name: str) -> bool:
+    """The object rests, released, on the destination's footprint and no
+    higher than just above its top."""
+    obj = world.find(obj_name)
+    if world.gripper.holding == obj.id:
+        return False
+    des = world.find(des_name)
+    p = effective_pose(obj)
+    return bool(footprint_contains(des, p[0], p[1]) and p[2] <= entity_top(des) + 2e-3)
+
+
 def handle_point(e: Entity) -> np.ndarray:
     """World-space grab/press point of an articulated fixture."""
     art = e.articulation

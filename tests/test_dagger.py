@@ -65,16 +65,18 @@ def test_sample_tasks_deterministic():
     assert sample_tasks(w, 50, seed=7) == sample_tasks(w, 50, seed=7)
 
 
+def stub_stores(root, task_ids, per_task):
+    stores = {tid: DemoStore(root, tid) for tid in task_ids}
+    for store in stores.values():
+        for _ in range(per_task):
+            store.append(stub_traj(store.task_id))
+    return stores
+
+
 def test_init_equal_weights_and_counts(tmp_path):
-    state = init(["a", "b", "c"], demos_per_task=5, f=F, n_eval=4,
-                 store_root=tmp_path, collect_fn=lambda tid, seed, er: stub_traj(tid))
+    state = init(stub_stores(tmp_path, ["a", "b", "c"], 5), f=F, n_eval=4)
     assert state.weights == {"a": 1.0, "b": 1.0, "c": 1.0}
     assert state.dataset_sizes() == {"a": 5, "b": 5, "c": 5}
-
-
-def test_init_rejects_zero_demos(tmp_path):
-    with pytest.raises(ValueError):
-        init(["a"], demos_per_task=0, f=F, n_eval=1, store_root=tmp_path)
 
 
 def test_demo_store_append_only_and_roundtrip(tmp_path):
@@ -112,9 +114,8 @@ EXPECTED_SIZES = [
 
 
 def run_scripted_iterations(tmp_path, n_iter=4):
-    state = init(["A", "B", "C"], demos_per_task=2, f=F, n_eval=4,
-                 store_root=tmp_path, collect_fn=lambda tid, seed, er: stub_traj(tid))
-    cfg = DaggerConfig(demos_per_task=2, n_eval=4, iterations=n_iter, seed=0)
+    state = init(stub_stores(tmp_path, ["A", "B", "C"], 2), f=F, n_eval=4)
+    cfg = DaggerConfig(seed=0)
     policy = object()
 
     def sampler_fn(s, c):
@@ -155,9 +156,8 @@ def test_iterate_trace_matches_hand_computed_oracle(tmp_path):
 
 
 def test_iterate_all_successes_reset_weights(tmp_path):
-    state = init(["A", "B"], demos_per_task=1, f=F, n_eval=2,
-                 store_root=tmp_path, collect_fn=lambda tid, seed, er: stub_traj(tid))
-    cfg = DaggerConfig(n_eval=2, seed=0)
+    state = init(stub_stores(tmp_path, ["A", "B"], 1), f=F, n_eval=2)
+    cfg = DaggerConfig(seed=0)
     state.weights = {"A": 2.5, "B": 0.5}
     state, _, metrics = iterate(
         state, object(), cfg,
@@ -171,11 +171,10 @@ def test_iterate_all_successes_reset_weights(tmp_path):
 
 
 def test_iterate_no_failures_no_growth(tmp_path):
-    state = init(["A"], demos_per_task=3, f=F, n_eval=1,
-                 store_root=tmp_path, collect_fn=lambda tid, seed, er: stub_traj(tid))
+    state = init(stub_stores(tmp_path, ["A"], 3), f=F, n_eval=1)
     before = state.dataset_sizes()
     state, _, _ = iterate(
-        state, object(), DaggerConfig(n_eval=1),
+        state, object(), DaggerConfig(),
         rollout_fn=lambda tid, seed, p, c: (1.0, False, []),
         relabel_fn=lambda tid, v, c: stub_traj(tid),
         train_fn=lambda p, s, c: (p, {}),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import threading
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,9 +9,13 @@ import numpy as np
 import pytest
 
 from robridge import harness
+from robridge.augment import training_augment
 from robridge.cli import main as cli_main
+from robridge.dagger import DemoStore
+from robridge.experts import ExpertError, Trajectory, TrajectoryStep
 from robridge.harness import (
     ConfigError,
+    cmd_bc,
     cmd_collect,
     cmd_dagger,
     cmd_eval,
@@ -19,6 +24,7 @@ from robridge.harness import (
     load_config,
 )
 from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
+from robridge.observation import TENSOR_BYTES
 
 
 def small_config(tmp_path, **over):
@@ -101,6 +107,67 @@ def test_collect_counts_and_rerun_identical(tmp_path):
             fa = out_a / "stores" / tid / name
             fb = out_b / "stores" / tid / name
             assert fa.read_bytes() == fb.read_bytes()
+
+
+def failing_expert(fail_task):
+    """rollout_expert stand-in: stub demos for every task but fail_task,
+    whose rollouts never succeed."""
+    def rollout(tid, seed, randomization=None):
+        step = TrajectoryStep(b"\0" * TENSOR_BYTES, np.zeros(4, np.float32), 0.0)
+        return Trajectory(tid, seed, [step] * 3, tid != fail_task, 3)
+    return rollout
+
+
+def test_collect_names_failing_task_and_keeps_partial_manifest(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "rollout_expert", failing_expert("open-drawer"))
+    path = small_config(tmp_path)
+    with pytest.raises(ExpertError, match="open-drawer"):
+        cmd_collect(load_config(path), tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert {tid: (d["count"], d["samples"]) for tid, d in manifest["tasks"].items()} == {
+        "press-button": (2, 6), "open-drawer": (0, 0)}
+    assert cli_main(["collect", "--config", str(path), "--out", str(tmp_path / "cli")]) == 3
+
+
+# Recorded by running the same scale through the former experiments module
+# (collect_stores, train_bc with 2 epochs, train_dagger with 1 epoch and one
+# iteration, success_rate), before the scripts moved onto the harness.
+GOLDEN_DEMOS = {
+    "pick-place": {"00000.traj": "84b93e356d0edffe34a43b8d7c213ae56d1c52f14075a07f3ec4a9e2c358ab22"},
+    "press-button": {"00000.traj": "be1bf966de723f0c8657c0e88f9c7b0c9864c057dd92b8c5776a035d8f6d9636"},
+}
+GOLDEN_RELABEL = "d921cf50147a87b3c6dfd92d79cc06466cc2522f79614661b35fd9b841de2a68"
+GOLDEN_BC_SHA256 = "dc16178180230cfafd7d7155dbccb33816432355d856a8122acd9d27617e9408"
+GOLDEN_DAGGER_SHA256 = "506292f6f48dcb3b604d7bfa8bba871b70f4d1db4dbea89985886e1457f3954f"
+
+
+def test_training_path_reproduces_recorded_artifacts(tmp_path):
+    base = {"tasks": ["press-button", "pick-place"], "seeds": {"base": 0, "episodes": 1},
+            "demos_per_task": 1, "augment": asdict(training_augment()),
+            "loop": {"max_ticks": 60}}
+    bc_cfg = config_from_dict({**base, "gea": {"epochs": 2, "lr": 1e-3}})
+    dg_cfg = config_from_dict({**base, "gea": {"epochs": 1, "lr": 1e-3},
+                               "dagger": {"n_eval": 2, "iterations": 1, "sample_budget": 200}})
+    out = tmp_path / "run"
+    manifest = cmd_collect(bc_cfg, out)
+    assert {tid: d["files"] for tid, d in manifest["tasks"].items()} == GOLDEN_DEMOS
+    # the budget admits one relabel: 148 stored steps before it, 208 after
+    assert sum(d["samples"] for d in manifest["tasks"].values()) == 148
+
+    bc = cmd_bc(bc_cfg, out)["checkpoint"]
+    assert hashlib.sha256(Path(bc).read_bytes()).hexdigest() == GOLDEN_BC_SHA256
+    dagger = cmd_dagger(dg_cfg, out)
+    assert dagger["iterations"][0]["relabeled"] == {"pick-place": 0, "press-button": 1}
+    stores = out / "dagger" / "stores"
+    assert {tid: DemoStore(stores, tid).file_digests() for tid in dg_cfg.tasks} == {
+        "pick-place": GOLDEN_DEMOS["pick-place"],
+        "press-button": {**GOLDEN_DEMOS["press-button"], "00001.traj": GOLDEN_RELABEL}}
+    dg = dagger["checkpoint"]
+    assert hashlib.sha256(Path(dg).read_bytes()).hexdigest() == GOLDEN_DAGGER_SHA256
+
+    for checkpoint, rate in ((bc, 0.0), (dg, 0.0), ("expert", 0.5)):
+        table = cmd_eval(dg_cfg, checkpoint, tmp_path / "eval")["table"]
+        assert np.mean([row["nominal"] for row in table.values()]) == rate
 
 
 def test_dagger_produces_checkpoints_and_report(tmp_path):
@@ -260,6 +327,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
                          "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
+    for command in (["collect"], ["eval", "--checkpoint", "expert"]):
+        assert cli_main([*command, "--config", str(cfg_path), "--suite", "bogus",
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "unknown suite 'bogus'" in capsys.readouterr().err
     assert cli_main(["collect", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / "manifest.json").exists()
     # ROBRIDGE_OUT fallback

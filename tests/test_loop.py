@@ -12,7 +12,6 @@ from robridge.loop import (
     NetPolicy,
     ZeroPolicy,
     run_episode,
-    run_long_horizon,
 )
 from robridge.policy import zero_params
 
@@ -99,11 +98,13 @@ def test_status_noise_keyed_per_episode():
 
 
 def test_long_horizon_expert_completes_all_stages():
-    assert run_long_horizon("pick-insert", ExpertAsPolicy(), LoopConfig(), seed=1) == 4
+    res = run_episode("pick-insert", ExpertAsPolicy(), LoopConfig(), seed=1)
+    assert res.stages_completed == 4
 
 
 def test_long_horizon_zero_policy_zero_stages():
-    assert run_long_horizon("pick-insert", ZeroPolicy(), LoopConfig(max_ticks=200), seed=1) == 0
+    res = run_episode("pick-insert", ZeroPolicy(), LoopConfig(max_ticks=200), seed=1)
+    assert res.stages_completed == 0
 
 
 def test_long_horizon_sabotage_after_stage_two():
@@ -111,13 +112,13 @@ def test_long_horizon_sabotage_after_stage_two():
     # sustained-hold stage can register, capping progress at two stages
     cfg = LoopConfig(retry_budget=0, max_ticks=600,
                      fault=FaultConfig(fire_on_hold_event=2, hold_ticks=3, max_fires=999))
-    stages = run_long_horizon("pick-insert", ExpertAsPolicy(), cfg, seed=1)
-    assert stages == 2
+    res = run_episode("pick-insert", ExpertAsPolicy(), cfg, seed=1)
+    assert res.stages_completed == 2
 
 
-def test_long_horizon_requires_stages():
-    with pytest.raises(ValueError):
-        run_long_horizon("press-button", ExpertAsPolicy(), LoopConfig(), seed=0)
+def test_unstaged_task_completes_no_stages():
+    res = run_episode("press-button", ExpertAsPolicy(), LoopConfig(), seed=0)
+    assert res.success and res.stages_completed == 0
 
 
 def test_episode_log_structure(tmp_path):

@@ -16,7 +16,6 @@ from robridge.policy import (
     forward,
     init_params,
     load_params,
-    loss_and_grad,
     loss_and_grad_arrays,
     save_params,
     train,
@@ -70,7 +69,7 @@ def test_loss_zero_when_targets_match():
     xs = [rand_obs(i) for i in range(4)]
     targets = [forward(p, x) for x in xs]
     # batched vs single-sample gemm differ by float32 rounding only
-    loss, grads = loss_and_grad(p, Batch(xs, targets))
+    loss, grads = loss_and_grad_arrays(p, *Batch(xs, targets).arrays())
     assert loss == pytest.approx(0.0, abs=1e-6)
     assert max(float(np.abs(g).max()) for g in grads.tensors.values()) < 1e-3
 
@@ -79,8 +78,8 @@ def test_loss_mean_invariant_to_duplication():
     p = init_params(2)
     x = rand_obs(5)
     t = np.array([0.2, -0.3, 0.5, 0.1])
-    l1, _ = loss_and_grad(p, Batch([x], [t]))
-    l2, _ = loss_and_grad(p, Batch([x, x, x], [t, t, t]))
+    l1, _ = loss_and_grad_arrays(p, *Batch([x], [t]).arrays())
+    l2, _ = loss_and_grad_arrays(p, *Batch([x, x, x], [t, t, t]).arrays())
     assert l1 == pytest.approx(l2, rel=1e-6)
 
 
