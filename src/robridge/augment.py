@@ -41,7 +41,6 @@ def _pixel_grid(shape: tuple[int, int]):
 
 @dataclass
 class AugmentConfig:
-    stage: str = "gea"                 # "expert" | "gea"
     warp_mag: float = 2.0              # px
     blur_sigma: float = 1.5            # px, upper bound of the drawn sigma
     hole_rate: float = 0.10
@@ -52,8 +51,6 @@ class AugmentConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.stage not in ("expert", "gea"):
-            raise ValueError(f"unknown augment stage {self.stage!r}")
         for name in ("warp_mag", "blur_sigma", "hole_rate", "dilate_radius",
                      "shift_max", "crop_margin", "segment_add_delete_p"):
             value = getattr(self, name)
@@ -65,18 +62,6 @@ class AugmentConfig:
         for name in ("hole_rate", "segment_add_delete_p"):
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.stage == "expert":
-            fields = ("warp_mag", "blur_sigma", "hole_rate", "dilate_radius",
-                      "shift_max", "crop_margin", "segment_add_delete_p")
-            bad = [f for f in fields if getattr(self, f) != 0]
-            if bad:
-                raise ValueError(f"expert-stage config must zero image-space fields: {bad}")
-
-
-def expert_stage_config(seed: int = 0) -> AugmentConfig:
-    return AugmentConfig(stage="expert", warp_mag=0.0, blur_sigma=0.0, hole_rate=0.0,
-                         dilate_radius=0, shift_max=0, crop_margin=0,
-                         segment_add_delete_p=0.0, seed=seed)
 
 
 def training_augment(seed: int = 1234) -> AugmentConfig:
@@ -337,9 +322,6 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     its own sigma.
     """
     cfg.validate()
-    if cfg.stage != "gea":
-        raise ValueError("apply_suite takes policy-stage configs; expert-stage "
-                         "randomization acts on the scene, not on tensors")
     out = np.array(grids, copy=True)
     b, _, h, w = out.shape
     if len(seeds) != b:

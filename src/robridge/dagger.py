@@ -96,7 +96,16 @@ class DemoStore:
         return path
 
     def trajectories(self) -> list[Trajectory]:
-        return [load_trajectory(self.dir / e[0]) for e in self._entries()]
+        """Every stored trajectory, decoded; a file that fails to decode
+        raises a RuntimeError naming it."""
+        trajs = []
+        for e in self._entries():
+            path = self.dir / e[0]
+            try:
+                trajs.append(load_trajectory(path))
+            except Exception as err:
+                raise RuntimeError(f"corrupt trajectory file {path}: {err}") from err
+        return trajs
 
     def file_digests(self) -> dict[str, str]:
         return {e[0]: e[3] for e in self._entries()}

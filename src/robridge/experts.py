@@ -324,7 +324,6 @@ class TrajectoryStep:
     tensor_bytes: bytes
     action: np.ndarray           # (4,) float32
     reward: float
-    frame_digest: str = ""
 
 
 @dataclass
@@ -376,16 +375,15 @@ def load_trajectory(path) -> Trajectory:
 
 
 def rollout_expert(task: TaskSpec | str, seed: int,
-                   randomization: ExpertRandomization | None = None,
-                   suite: str = "nominal", record: bool = True) -> Trajectory:
-    """Run the closed loop with the scripted expert as the policy and
-    record (tensor, action, reward) per tick."""
+                   randomization: ExpertRandomization | None = None) -> Trajectory:
+    """Run the closed loop on the nominal suite with the scripted expert as
+    the policy and record (tensor, action, reward) per tick."""
     from .loop import ExpertAsPolicy, LoopConfig, run_episode
 
     if isinstance(task, str):
         task = load_catalog().task(task)
-    result = run_episode(task, ExpertAsPolicy(), LoopConfig(record=record),
-                         suite=suite, seed=seed, expert_rand=randomization)
+    result = run_episode(task, ExpertAsPolicy(), LoopConfig(record=True),
+                         seed=seed, expert_rand=randomization)
     traj = Trajectory(task_id=task.id, seed=int(seed), steps=result.recorded_steps,
                       success=result.success, final_tick=result.ticks)
     return traj

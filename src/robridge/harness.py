@@ -194,18 +194,14 @@ def cmd_collect(config: ExperimentConfig, out_dir: Path) -> dict:
 # trainer runs
 
 def _open_stores(config: ExperimentConfig, root: Path) -> dict[str, daggerlib.DemoStore]:
-    """The config's demo stores under root; each must hold demos that load."""
+    """The config's demo stores under root; none may be empty. Training
+    decodes the files and names any that are corrupt."""
     if not root.exists():
         raise ConfigError(f"no demo stores at {root}; run collect first")
     stores = {tid: daggerlib.DemoStore(root, tid) for tid in config.tasks}
     for tid, store in stores.items():
         if len(store) == 0:
             raise ConfigError(f"store for {tid!r} is empty")
-        for name in store.file_digests():
-            try:
-                daggerlib.load_trajectory(store.dir / name)
-            except Exception as e:
-                raise RuntimeError(f"corrupt trajectory file {store.dir / name}: {e}")
     return stores
 
 

@@ -1,13 +1,14 @@
 """Dual-frequency closed-loop execution.
 
-Every tick: render, tracker refresh, tensor conversion, one action (policy
-forward, or waypoint following while the current primitive is "reach"),
-one world step; reach ticks skip the tensor unless the episode records
-steps or keeps visited states. Every K ticks: a status check; Success
-advances the plan cursor and rebuilds the observation for the next
-primitive, Wrong regenerates it (re-ground, rebuild, fast-forward past
-already-satisfied primitives, full replan if grounding is gone) and
-consumes a retry.
+An ``Episode`` owns one episode's state. Per tick, ``observe()`` refreshes
+the tracker, runs the status check every K ticks and builds the tensor
+(reach ticks skip it unless the episode records steps or keeps visited
+states); ``advance(action)`` clips the action, steps the world, lets a
+fault act, records the tick, advances the stages and renders. Success
+advances the plan cursor; Wrong regenerates the observation (re-ground,
+rebuild, fast-forward past satisfied primitives, replan if grounding is
+gone) and consumes a retry. ``run_episode`` drives an Episode: the
+waypoint follower acts on reach ticks, the policy on all others.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .hcp import (
     approach_pose,
 )
 from .observation import BuildError, ObsTensor, build, init_tracker, to_tensor, track_update
-from .policy import PolicyParams, forward, zero_params
+from .policy import PolicyParams, forward
 from .render import frame_digest, render
 from .tasks import ExpertRandomization, TaskSpec
 from .util import SCHEMA_VERSION, rng_for
@@ -84,6 +85,9 @@ class FaultConfig:
 
 HOLD_STAGE_TICKS = 5   # a "hold" stage needs this many consecutive held ticks
 
+# what starting a primitive or replanning can raise; each ends the episode as failed
+_PRIMITIVE_ERRORS = (PlanningError, GroundingError, BuildError, ConstraintError, MotionPlanError)
+
 
 @dataclass
 class LoopConfig:
@@ -98,16 +102,6 @@ class LoopConfig:
     fault: FaultConfig | None = None
     external_planner: hcp.ExternalPlannerClient | None = None
     log_path: str | None = None
-
-
-@dataclass
-class LoopState:
-    plan: Plan
-    tracker: object
-    obs: object
-    tick: int = 0
-    retries_used: dict = field(default_factory=dict)
-    outcome: str = "running"       # running | done | failed
 
 
 @dataclass
@@ -132,11 +126,6 @@ class EpisodeResult:
     track_calls: int = 0
     status_calls: int = 0
     final_digest: str = ""
-
-
-class _EpisodeFailed(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
 
 
 def _fire_fault(world: WorldState, fault: FaultConfig, seed: int) -> dict:
@@ -184,24 +173,6 @@ def _episode_noise(noise: GroundingNoise | StatusNoise | None, task_id: str,
     return replace(noise, seed=int(key))
 
 
-def _begin_primitive(plan: Plan, world: WorldState, frame, cfg: LoopConfig):
-    """Ground the current primitive and build its observation bundle."""
-    action = plan.current
-    table = world.symbol_table()
-    shapes = {e.id: e.kind for e in world.entities}
-    grounding = hcp.ground(action, frame, table, cfg.grounding_noise, shapes)
-    direction = None
-    if action.type in ("open", "close", "pull", "turn", "push"):
-        direction = hcp.direction_constraint(action, world)
-    obs = build(action, frame, grounding, direction)
-    tracker = init_tracker(obs, frame)
-    follower = None
-    if action.type == "reach":
-        goal = approach_pose(world, action.obj)
-        follower = WaypointFollower(motion_plan_reach(world, goal))
-    return obs, tracker, follower
-
-
 def _fast_forward(plan: Plan, world: WorldState) -> int:
     """First primitive whose completion predicate does not already hold."""
     for i, action in enumerate(plan.actions):
@@ -213,207 +184,220 @@ def _fast_forward(plan: Plan, world: WorldState) -> int:
     return len(plan.actions)
 
 
-def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
-                suite: str = "nominal", seed: int = 0,
-                expert_rand: ExpertRandomization | None = None) -> EpisodeResult:
-    cfg = cfg or LoopConfig()
-    cat = tasklib.load_catalog()
-    if isinstance(task, str):
-        task = cat.task(task)
-    cfg = replace(cfg, status_noise=_episode_noise(cfg.status_noise, task.id, seed),
-                  grounding_noise=_episode_noise(cfg.grounding_noise, task.id, seed))
-    world, instruction, cams = tasklib.instantiate(task.id, suite, seed, expert_rand)
-    cam3, cam1 = cams
+class Episode:
+    """One closed-loop episode, stepped by its caller.
 
-    result = EpisodeResult(success=False, reward=0.0, ticks=0, outcome="running")
-    log_lines = []
-    if cfg.log_path:
-        log_lines.append(json.dumps({
-            "schema_version": SCHEMA_VERSION, "task_id": task.id, "suite": suite,
-            "seed": int(seed), "instruction": instruction,
-            "status_period": cfg.status_period, "retry_budget": cfg.retry_budget,
-            "max_ticks": cfg.max_ticks,
-            "camera_offset": list(cam3.offset),
-            "expert_rand": expert_rand is not None,
-        }, sort_keys=True))
+    Construction does the setup: per-episode noise, the scene, the log
+    header, the first render, the plan and the first primitive. While
+    ``running``, each tick is ``observe()`` then ``advance(action)``;
+    once it stops, ``result`` is final and the log (if any) is written.
+    """
 
-    frame = render(world, cam3, cam1)
-    state = None
-    stage_idx = 0
-    stage_hold_run = 0
+    def __init__(self, task: TaskSpec | str, cfg: LoopConfig | None = None,
+                 suite: str = "nominal", seed: int = 0,
+                 expert_rand: ExpertRandomization | None = None):
+        cfg = cfg or LoopConfig()
+        if isinstance(task, str):
+            task = tasklib.load_catalog().task(task)
+        self.task, self.seed = task, seed
+        self.cfg = cfg = replace(
+            cfg, status_noise=_episode_noise(cfg.status_noise, task.id, seed),
+            grounding_noise=_episode_noise(cfg.grounding_noise, task.id, seed))
+        self.world, self.instruction, (self.cam3, self.cam1) = tasklib.instantiate(
+            task.id, suite, seed, expert_rand)
+        self.result = EpisodeResult(success=False, reward=0.0, ticks=0, outcome="running")
+        self.running = True
+        self.log_lines = []
+        if cfg.log_path:
+            self.log_lines.append(json.dumps({
+                "schema_version": SCHEMA_VERSION, "task_id": task.id, "suite": suite,
+                "seed": int(seed), "instruction": self.instruction,
+                "status_period": cfg.status_period, "retry_budget": cfg.retry_budget,
+                "max_ticks": cfg.max_ticks,
+                "camera_offset": list(self.cam3.offset),
+                "expert_rand": expert_rand is not None,
+            }, sort_keys=True))
+        self.frame = render(self.world, self.cam3, self.cam1)
+        self.stage_idx = self.stage_hold_run = 0
+        self.retries_used: dict[int, int] = {}
+        # fault bookkeeping: grips so far, ticks the current grip has held, firings
+        self.hold_events = self.hold_run = self.fault_fires = 0
+        self.was_holding = False
+        try:
+            self.plan = hcp.plan(self.instruction, self.frame, cfg.external_planner,
+                                 sorted(self.world.symbol_table()))
+            self._begin_primitive()
+        except PlanningError as e:
+            self._end("failed", f"planning: {e}")
+        except _PRIMITIVE_ERRORS as e:
+            self._end("failed", f"setup: {e}")
 
-    def fail(reason: str) -> EpisodeResult:
-        result.outcome = "failed"
-        result.reason = reason
-        return _finish(result, task, world, frame, cfg, log_lines, stage_idx)
-
-    try:
-        plan = hcp.plan(instruction, frame, cfg.external_planner,
-                        sorted(world.symbol_table()))
-    except PlanningError as e:
-        result.ticks = 0
-        return fail(f"planning: {e}")
-
-    deadline = cfg.primitive_timeout
-    try:
-        obs, tracker, follower = _begin_primitive(plan, world, frame, cfg)
-    except (GroundingError, BuildError, ConstraintError, MotionPlanError) as e:
-        return fail(f"setup: {e}")
-    state = LoopState(plan=plan, tracker=tracker, obs=obs)
-    prim_started = 0
-    fault_state = {"fires": 0, "hold_run": 0, "events": 0, "was_holding": False}
-
-    for i in range(1, cfg.max_ticks + 1):
-        state.tracker, state.obs = track_update(state.tracker, state.obs, frame)
-        result.track_calls += 1
-
-        if i % cfg.status_period == 0:
-            result.status_calls += 1
-            lost = bool(state.tracker.lost_channels())
-            verdict = hcp.check_status(plan.current, frame, world, deadline,
-                                       lost=lost, noise=cfg.status_noise)
-            result.status_events.append({"tick": world.tick, "cursor": plan.cursor,
-                                         "verdict": verdict.value})
+    def observe(self) -> ObsTensor | None:
+        """Refresh the tracker, run the status check every K ticks, and
+        build the tensor. Returns it, or None on a reach tick that nothing
+        records or keeps. A check can end the episode."""
+        cfg, res = self.cfg, self.result
+        self.tracker, self.obs = track_update(self.tracker, self.obs, self.frame)
+        res.track_calls += 1
+        if (self.world.tick + 1) % cfg.status_period == 0:
+            plan, world = self.plan, self.world
+            res.status_calls += 1
+            verdict = hcp.check_status(plan.current, self.frame, world, self.deadline,
+                                       lost=bool(self.tracker.lost_channels()),
+                                       noise=cfg.status_noise)
+            res.status_events.append({"tick": world.tick, "cursor": plan.cursor,
+                                      "verdict": verdict.value})
             if verdict is Status.SUCCESS:
-                result.primitive_log.append({
+                res.primitive_log.append({
                     "index": plan.cursor, "type": plan.current.type,
-                    "obj": plan.current.obj, "started": prim_started,
+                    "obj": plan.current.obj, "started": self.started,
                     "ended": world.tick, "verdict": "success",
                 })
                 plan.cursor += 1
                 if plan.done:
-                    result.outcome = "done"
-                    break
-                prim_started = world.tick
-                deadline = world.tick + cfg.primitive_timeout
-                try:
-                    state.obs, state.tracker, follower = _begin_primitive(plan, world, frame, cfg)
-                except (GroundingError, BuildError, ConstraintError, MotionPlanError) as e:
-                    return fail(f"advance: {e}")
+                    self._end("done")
+                else:
+                    try:
+                        self._begin_primitive()
+                    except _PRIMITIVE_ERRORS as e:
+                        self._end("failed", f"advance: {e}")
             elif verdict is Status.WRONG:
-                used = state.retries_used.get(plan.cursor, 0) + 1
-                state.retries_used[plan.cursor] = used
+                used = self.retries_used[plan.cursor] = self.retries_used.get(plan.cursor, 0) + 1
                 if used > cfg.retry_budget:
-                    return fail(f"retries exhausted at primitive {plan.cursor} "
-                                f"({plan.current.type} {plan.current.obj})")
-                try:
-                    plan, state, follower, deadline = _recover(
-                        plan, state, world, frame, cfg, instruction)
-                    prim_started = world.tick
-                except _EpisodeFailed as e:
-                    return fail(e.reason)
-
-        reach = follower is not None and plan.current.type == "reach"
+                    self._end("failed", f"retries exhausted at primitive {plan.cursor} "
+                                        f"({plan.current.type} {plan.current.obj})")
+                else:
+                    self._recover()
+            if not self.running:
+                return None
         # the waypoint follower ignores the tensor; build it only if kept
-        tensor = None
-        if not reach or cfg.record or cfg.keep_visited:
-            tensor = to_tensor(state.obs, frame)
-        if reach:
-            action = follower.act(world)
-        else:
-            action = policy.act(tensor, plan.current, world)
+        keep = self.follower is None or cfg.record or cfg.keep_visited
+        self.tensor = to_tensor(self.obs, self.frame) if keep else None
+        return self.tensor
+
+    def advance(self, action) -> None:
+        """Clip and apply one action: step the world, let the fault act,
+        record the tick, advance the stages and render. Ends the episode
+        at max_ticks."""
+        cfg, res, current = self.cfg, self.result, self.plan.current
         action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-
         if cfg.keep_visited:
-            result.visited.append(VisitedState(tensor, plan.current, world.copy()))
-
-        world = step(world, action)
-
-        fired = None
-        if cfg.fault is not None:
-            fired = _update_fault(world, cfg.fault, fault_state, seed)
-
-        r = tasklib.reward(task, world)
+            res.visited.append(VisitedState(self.tensor, current, self.world.copy()))
+        self.world = world = step(self.world, action)
+        fired = self._update_fault() if cfg.fault is not None else None
+        r = tasklib.reward(self.task, world)
         if cfg.record:
-            result.recorded_steps.append(TrajectoryStep(
-                tensor.to_bytes(), np.asarray(action, dtype=np.float32), r,
-                frame_digest(frame)))
+            res.recorded_steps.append(TrajectoryStep(
+                self.tensor.to_bytes(), np.asarray(action, dtype=np.float32), r))
         if cfg.log_path:
             rec = {
-                "tick": world.tick, "cursor": plan.cursor,
-                "primitive": plan.current.type, "obj": plan.current.obj,
+                "tick": world.tick, "cursor": self.plan.cursor,
+                "primitive": current.type, "obj": current.obj,
                 "action": [float(a) for a in action],
-                "digest": frame_digest(frame), "reward": r,
+                "digest": frame_digest(self.frame), "reward": r,
             }
             if fired is not None:
                 rec["fault"] = fired
-            log_lines.append(json.dumps(rec, sort_keys=True))
-
-        while task.stages and stage_idx < len(task.stages):
-            stage = task.stages[stage_idx]
+            self.log_lines.append(json.dumps(rec, sort_keys=True))
+        stages = self.task.stages
+        while self.stage_idx < len(stages):
+            stage = stages[self.stage_idx]
             if stage[0] == "hold":
-                stage_hold_run = stage_hold_run + 1 if tasklib.stage_satisfied(world, stage) else 0
-                if stage_hold_run < HOLD_STAGE_TICKS:
+                held = tasklib.stage_satisfied(world, stage)
+                self.stage_hold_run = self.stage_hold_run + 1 if held else 0
+                if self.stage_hold_run < HOLD_STAGE_TICKS:
                     break
-                stage_hold_run = 0
+                self.stage_hold_run = 0
             elif not tasklib.stage_satisfied(world, stage):
                 break
-            stage_idx += 1
+            self.stage_idx += 1
+        self.frame = render(world, self.cam3, self.cam1)
+        if world.tick >= cfg.max_ticks:
+            self._end("max_ticks")
 
-        frame = render(world, cam3, cam1)
+    def _begin_primitive(self) -> None:
+        """Ground the current primitive, build its observation bundle and
+        start its clock."""
+        action, world, frame = self.plan.current, self.world, self.frame
+        grounding = hcp.ground(action, frame, world.symbol_table(), self.cfg.grounding_noise,
+                               {e.id: e.kind for e in world.entities})
+        direction = None
+        if action.type in ("open", "close", "pull", "turn", "push"):
+            direction = hcp.direction_constraint(action, world)
+        self.obs = build(action, frame, grounding, direction)
+        self.tracker = init_tracker(self.obs, frame)
+        self.follower = None
+        if action.type == "reach":
+            goal = approach_pose(world, action.obj)
+            self.follower = WaypointFollower(motion_plan_reach(world, goal))
+        self.started = world.tick
+        self.deadline = world.tick + self.cfg.primitive_timeout
 
-    if result.outcome == "running":
-        result.outcome = "max_ticks"
-    return _finish(result, task, world, frame, cfg, log_lines, stage_idx)
-
-
-def _update_fault(world: WorldState, fault: FaultConfig, fs: dict, seed: int) -> dict | None:
-    """Advance the fault's hold counters; returns the firing, if one happened."""
-    fired = None
-    holding = world.gripper.holding is not None
-    if holding and not fs["was_holding"]:
-        fs["events"] += 1
-        fs["hold_run"] = 0
-    if holding:
-        fs["hold_run"] += 1
-        if (fs["fires"] < fault.max_fires
-                and fs["events"] >= fault.fire_on_hold_event
-                and fs["hold_run"] >= fault.hold_ticks):
-            fired = _fire_fault(world, fault, seed)
-            apply_fault(world, fired)
-            fs["fires"] += 1
-    fs["was_holding"] = world.gripper.holding is not None
-    return fired
-
-
-def _recover(plan: Plan, state: LoopState, world: WorldState, frame, cfg: LoopConfig,
-             instruction: str):
-    """Wrong verdict: regenerate the observation; replan if grounding is gone."""
-    try:
+    def _recover(self) -> None:
+        """Wrong verdict: regenerate the observation; replan if grounding is gone."""
+        world, frame, cfg = self.world, self.frame, self.cfg
         try:
-            hcp.ground(plan.current, frame, world.symbol_table(), cfg.grounding_noise,
-                       {e.id: e.kind for e in world.entities})
-        except GroundingError:
-            plan = hcp.plan(instruction, frame, cfg.external_planner,
-                            sorted(world.symbol_table()))
-        plan.cursor = _fast_forward(plan, world)
-        if plan.done:
-            plan.cursor = len(plan.actions) - 1
-        obs, tracker, follower = _begin_primitive(plan, world, frame, cfg)
-    except (PlanningError, GroundingError, BuildError, ConstraintError, MotionPlanError) as e:
-        raise _EpisodeFailed(f"regeneration: {e}")
-    state.plan = plan
-    state.obs = obs
-    state.tracker = tracker
-    deadline = world.tick + cfg.primitive_timeout
-    return plan, state, follower, deadline
+            try:
+                hcp.ground(self.plan.current, frame, world.symbol_table(), cfg.grounding_noise,
+                           {e.id: e.kind for e in world.entities})
+            except GroundingError:
+                self.plan = hcp.plan(self.instruction, frame, cfg.external_planner,
+                                     sorted(world.symbol_table()))
+            self.plan.cursor = _fast_forward(self.plan, world)
+            if self.plan.done:
+                self.plan.cursor = len(self.plan.actions) - 1
+            self._begin_primitive()
+        except _PRIMITIVE_ERRORS as e:
+            self._end("failed", f"regeneration: {e}")
+
+    def _update_fault(self) -> dict | None:
+        """Advance the fault's hold counters; returns the firing, if one happened."""
+        world, fault = self.world, self.cfg.fault
+        fired = None
+        holding = world.gripper.holding is not None
+        if holding and not self.was_holding:
+            self.hold_events += 1
+            self.hold_run = 0
+        if holding:
+            self.hold_run += 1
+            if (self.fault_fires < fault.max_fires
+                    and self.hold_events >= fault.fire_on_hold_event
+                    and self.hold_run >= fault.hold_ticks):
+                fired = _fire_fault(world, fault, self.seed)
+                apply_fault(world, fired)
+                self.fault_fires += 1
+        self.was_holding = world.gripper.holding is not None
+        return fired
+
+    def _end(self, outcome: str, reason: str = "") -> None:
+        res = self.result
+        res.outcome, res.reason = outcome, reason
+        # episode success comes from the task oracle, independent of checker noise
+        res.success = tasklib.is_success(self.task, self.world)
+        res.reward = tasklib.reward(self.task, self.world)
+        res.ticks = self.world.tick
+        res.stages_completed = self.stage_idx
+        res.final_digest = frame_digest(self.frame)
+        self.running = False
+        if self.cfg.log_path:
+            self.log_lines.append(json.dumps({
+                "final": True, "success": res.success, "reward": res.reward,
+                "ticks": res.ticks, "outcome": res.outcome,
+                "final_digest": res.final_digest,
+            }, sort_keys=True))
+            with open(self.cfg.log_path, "w", encoding="utf-8") as f:
+                f.write("\n".join(self.log_lines) + "\n")
 
 
-def _finish(result: EpisodeResult, task: TaskSpec, world: WorldState, frame,
-            cfg: LoopConfig, log_lines: list, stage_idx: int) -> EpisodeResult:
-    # episode success comes from the task oracle, independent of checker noise
-    result.success = tasklib.is_success(task, world)
-    result.reward = tasklib.reward(task, world)
-    result.ticks = world.tick
-    result.stages_completed = stage_idx
-    result.final_digest = frame_digest(frame)
-    if cfg.log_path:
-        log_lines.append(json.dumps({
-            "final": True, "success": result.success, "reward": result.reward,
-            "ticks": result.ticks, "outcome": result.outcome,
-            "final_digest": result.final_digest,
-        }, sort_keys=True))
-        with open(cfg.log_path, "w", encoding="utf-8") as f:
-            f.write("\n".join(log_lines) + "\n")
-    return result
-
+def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
+                suite: str = "nominal", seed: int = 0,
+                expert_rand: ExpertRandomization | None = None) -> EpisodeResult:
+    """Drive one episode: the waypoint follower acts on reach ticks, the
+    policy on every other tick."""
+    ep = Episode(task, cfg, suite, seed, expert_rand)
+    while ep.running:
+        tensor = ep.observe()
+        if ep.running:
+            ep.advance(ep.follower.act(ep.world) if ep.follower is not None
+                       else policy.act(tensor, ep.plan.current, ep.world))
+    return ep.result

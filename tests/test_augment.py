@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from robridge.augment import (
@@ -8,7 +7,6 @@ from robridge.augment import (
     binary_dilate,
     delete_component,
     depth_warp,
-    expert_stage_config,
     gaussian_blur,
     mask_jitter,
     random_holes,
@@ -150,11 +148,6 @@ def test_apply_suite_deterministic():
     assert a.grid.tobytes() == b.grid.tobytes()
 
 
-def test_apply_suite_rejects_expert_stage():
-    with pytest.raises(ValueError, match="expert"):
-        apply_suite(rand_tensor(2), expert_stage_config())
-
-
 def test_apply_suite_holes_reduce_depth_support():
     t = rand_tensor(3)
     t.grid[3:6] += 0.2   # make depth support dense
@@ -170,14 +163,6 @@ def test_apply_suite_leaves_vec_and_heatmap():
     out = apply_suite(t, AugmentConfig(seed=2))
     assert np.array_equal(out.vec, t.vec)
     assert np.array_equal(out.grid[6], t.grid[6])
-
-
-def test_expert_stage_config_validates():
-    cfg = expert_stage_config()
-    cfg.validate()
-    bad = AugmentConfig(stage="expert", warp_mag=1.0)
-    with pytest.raises(ValueError, match="expert-stage"):
-        bad.validate()
 
 
 @settings(max_examples=20, deadline=None)

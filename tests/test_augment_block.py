@@ -191,8 +191,6 @@ def test_augment_grids_rejects_bad_input():
     grids = rand_grids(0, 2)
     with pytest.raises(ValueError, match="seeds"):
         augment_grids(grids, [1], AugmentConfig())
-    with pytest.raises(ValueError, match="expert"):
-        augment_grids(grids, [1, 2], AugmentConfig(**ZERO, stage="expert"))
     with pytest.raises(ValueError, match="hole_rate"):
         augment_grids(grids, [1, 2], AugmentConfig(hole_rate=1.5))
 

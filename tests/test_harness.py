@@ -72,6 +72,7 @@ def test_config_unknown_suite(tmp_path):
     ({"dagger": {"f": {"values": [1.0]}}}, "dagger.f"),
     ({"expert_randomization": {"tilt": 1}}, "expert_randomization"),
     ({"augment": {"warp_mag": "big"}}, "warp_mag"),
+    ({"augment": {"stage": "gea"}}, "stage"),
 ])
 def test_config_bad_numbers_name_the_field(over, field):
     with pytest.raises(ConfigError, match=field):
@@ -200,6 +201,10 @@ def test_dagger_names_corrupt_file(tmp_path):
                        b'"success": true, "final_tick": 1, "steps": 5}\n\x01\x02')
     with pytest.raises(RuntimeError, match=str(victim.name)):
         cmd_dagger(cfg, out)
+    with pytest.raises(RuntimeError, match=str(victim.name)):
+        cmd_bc(cfg, out)
+    # the files are decoded once, by training, before any checkpoint is written
+    assert not list(out.rglob("checkpoint.bin"))
 
 
 def test_eval_expert_and_zero_tables(tmp_path):
@@ -288,6 +293,10 @@ def test_replay_roundtrip_with_fault(tmp_path):
     info = cmd_replay(log, tmp_path / "replay")
     assert info["final_digest"] == res.final_digest
     assert info["frames"] == res.ticks
+    # every record carries its tick's frame digest, so this pin also checks
+    # that per-tick frames follow the fault's in-place edit of the world
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "f37fc01552d7deb41c56e5aa3f613e233bc5f0c72437e82006cc5606d450bdfa")
 
 
 def test_replay_rejects_empty_log(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from robridge.hcp import StatusNoise
 from robridge.loop import (
+    Episode,
     ExpertAsPolicy,
     FaultConfig,
     LoopConfig,
@@ -168,7 +169,6 @@ def _steps_digest(steps) -> str:
         h.update(s.tensor_bytes)
         h.update(np.asarray(s.action, dtype="<f4").tobytes())
         h.update(repr(float(s.reward)).encode())
-        h.update(s.frame_digest.encode())
     return h.hexdigest()
 
 
@@ -187,14 +187,42 @@ def test_recorded_and_visited_episodes_golden():
     res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(record=True), seed=3)
     assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (99, "0a86cfd9a3d410c8", 99)
     assert _steps_digest(res.recorded_steps) == (
-        "a664d281fd2f6e7556dff16aee29e2b643ed32e35a973b2f0df5bb52248b278d")
+        "d681c737ba92fc63ff323ddb3fdf57c9a16efffc3e09ad4b9797c9fea415426a")
     res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(keep_visited=True), seed=3)
     assert (res.ticks, res.final_digest, len(res.visited)) == (99, "0a86cfd9a3d410c8", 99)
     assert _visited_digest(res.visited) == (
         "24b1a2cdebd8110d64f478029ba5d0dd48deb3e52a396dc4a6ada808c9107367")
-    # a grasp fault edits the world in place; per-tick frame digests follow it
+    # a grasp fault edits the world in place; the recorded tensors follow it
+    # (test_replay_roundtrip_with_fault pins the per-tick frame digests)
     res = run_episode("pick-place", ExpertAsPolicy(),
                       LoopConfig(record=True, fault=FaultConfig()), seed=3)
     assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (174, "ecd0c7c102c52446", 174)
     assert _steps_digest(res.recorded_steps) == (
-        "cbb8ac0ebdc6738749c174b0af02d18c93479f097b5ce969c2121e7012ed9a46")
+        "d0dd3ab557abce723849647f046942feadb2a3877beb2b57f9e3de345c78d4a4")
+
+
+@pytest.mark.parametrize("task,over,seed", [
+    ("pick-place", {"fault": FaultConfig()}, 11),
+    ("pick-insert", {}, 1),
+])
+def test_episode_stepped_by_hand_matches_run_episode(tmp_path, task, over, seed):
+    ref_log, log = tmp_path / "ref.jsonl", tmp_path / "ep.jsonl"
+    ref = run_episode(task, ExpertAsPolicy(), LoopConfig(log_path=str(ref_log), **over),
+                      seed=seed)
+    expert = ExpertAsPolicy()
+    ep = Episode(task, LoopConfig(log_path=str(log), **over), "nominal", seed, None)
+    while ep.running:
+        tensor = ep.observe()
+        if not ep.running:
+            break
+        if ep.follower is not None:
+            ep.advance(ep.follower.act(ep.world))
+        else:
+            ep.advance(expert.act(tensor, ep.plan.current, ep.world))
+    assert ep.result == ref
+    assert log.read_bytes() == ref_log.read_bytes()
+    if over:   # the fault fired and a Wrong verdict recovered from it
+        assert '"fault"' in log.read_text()
+        assert any(e["verdict"] == "wrong" for e in ref.status_events) and ref.success
+    else:
+        assert ref.stages_completed == 4
