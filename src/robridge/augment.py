@@ -184,19 +184,6 @@ def _hole_mask(centers: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return hit.reshape(n, h, w)
 
 
-def random_holes(img: np.ndarray, rate: float, seed: int) -> np.ndarray:
-    """Zero disc-shaped regions with expected covered fraction ~= rate."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("hole rate must lie in [0, 1]")
-    if rate == 0.0:
-        return img.copy()
-    if rate >= 1.0:
-        return np.zeros_like(img)
-    out = img.copy()
-    out[_hole_mask(_hole_centers(seed, img.shape, rate)[None], img.shape)[0]] = 0
-    return out
-
-
 def _dilate(masks: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Chebyshev-ball dilation of each mask (n, h, w) by its own radius:
     radius r is r steps of the 3x3 square, which never cross the border."""
@@ -210,13 +197,6 @@ def _dilate(masks: np.ndarray, radius: np.ndarray) -> np.ndarray:
         wide[:, :, :-1] |= grown[:, :, 1:]
         out = np.where((radius >= step)[:, None, None], wide, out)
     return out
-
-
-def binary_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Chebyshev-ball dilation: a 2x2 blob grows to 4x4 at radius 1."""
-    if radius <= 0:
-        return mask.copy()
-    return _dilate(mask.astype(bool)[None], np.array([radius]))[0]
 
 
 def _shift_zero_fill(masks: np.ndarray, dr: np.ndarray, dc: np.ndarray) -> np.ndarray:

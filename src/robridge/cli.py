@@ -32,9 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="robridge")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed-base", type=int, default=None, help="override seeds.base")
         p.add_argument("--suite", default=None, help="restrict to one suite")
@@ -45,9 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pe)
     pe.add_argument("--checkpoint", required=True,
                     help="checkpoint path, or the literals 'expert' / 'zero'")
+    # the suite and seed come from the log's header, so replay takes no
+    # --suite or --seed-base
     pr = sub.add_parser("replay", help="re-render a logged episode")
-    common(pr, needs_config=False)
     pr.add_argument("--log", required=True, help="episode log (JSON lines)")
+    pr.add_argument("--out", default=None, help="output directory")
     return ap
 
 

@@ -9,7 +9,14 @@ construction.
 
 A lightweight geometric tracker refreshes the masks every tick from the
 identity-erased foreground: each channel re-associates to the connected
-component whose centroid is nearest its previous centroid.
+component whose centroid is nearest its previous centroid. Components are
+labelled on the bounding box of the foreground only, which keeps the raster
+order and so the label numbers and centroids of a full-image labelling.
+
+``to_tensor`` downsamples each channel group in one pass over its stack: a
+block majority over the three masks and a block mean over the three depth
+crops, summed in the order numpy's ``mean`` sums, so the tensor bits are
+those of per-channel ``mean`` calls.
 """
 
 from __future__ import annotations
@@ -125,9 +132,11 @@ def _pixel_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _centroid(mask: np.ndarray) -> np.ndarray | None:
     _, rows, cols = _pixel_indices(mask)
-    if rows.size == 0:
+    n = rows.size
+    if n == 0:
         return None
-    return np.array([rows.mean(), cols.mean()])
+    # integer sums are exact (far below 2**53), so these equal rows.mean()
+    return np.array([rows.sum() / n, cols.sum() / n])
 
 
 def type_index(t: str) -> int:
@@ -197,12 +206,20 @@ _CONNECTIVITY = ndimage.generate_binary_structure(2, 1)
 
 
 def _components(foreground: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    labels, n = ndimage.label(foreground, structure=_CONNECTIVITY)
-    if n == 0:
+    """Labels (4-connected, numbered as ndimage.label numbers them), count
+    and (row, col) centroids of the foreground's connected components."""
+    flat, rows, cols = _pixel_indices(foreground)
+    labels = np.zeros(foreground.shape, dtype=np.int32)
+    if flat.size == 0:
         return labels, 0, np.zeros((0, 2))
+    # label only the foreground's bounding box: the crop keeps the raster
+    # order of the foreground pixels, so every label number is unchanged
+    r0, r1 = rows[0], rows[-1] + 1
+    c0, c1 = cols.min(), cols.max() + 1
+    box = labels[r0:r1, c0:c1]
+    n = ndimage.label(foreground[r0:r1, c0:c1], structure=_CONNECTIVITY, output=box)
     # one pass over the foreground pixels; the per-label sums are sums of
     # integer coordinates, exact in float64, so summation order is irrelevant
-    flat, rows, cols = _pixel_indices(foreground)
     lab = labels.ravel()[flat]
     counts = np.bincount(lab, minlength=n + 1)[1:]
     row_sums = np.bincount(lab, weights=rows, minlength=n + 1)[1:]
@@ -219,9 +236,6 @@ def track_update(tracker: TrackerState, obs: Observation, frame: Frame,
     (proprioception plus calibration, not scene appearance), so it never
     goes lost. The constraint block follows the live gripper state.
     """
-    new = tracker.copy()
-    out = obs.copy()
-
     labels3, n3, cents3 = _components(frame.instance3 != 0)
     zero_shift = np.zeros(2)
     # first-view crop recenters on the gripper; compensate the expected
@@ -232,50 +246,86 @@ def track_update(tracker: TrackerState, obs: Observation, frame: Frame,
 
     g3 = frame.instance3 == GRIPPER_ID
     g1 = frame.instance1 == GRIPPER_ID
-    new.tracks3[0] = ChannelTrack(g3, _centroid(g3), lost=False)
-    new.tracks1[0] = ChannelTrack(g1, _centroid(g1), lost=False)
-    out.masks3[0] = g3
-    out.depths1[0] = frame.depth1 * g1
+    tracks3 = [ChannelTrack(g3, _centroid(g3), lost=False)]
+    tracks1 = [ChannelTrack(g1, _centroid(g1), lost=False)]
+    for c, name in enumerate(CHANNEL_NAMES[1:], start=1):
+        if name == "destination" and not tracker.has_destination:
+            tracks3.append(tracker.tracks3[c].copy())
+            tracks1.append(tracker.tracks1[c].copy())
+        else:
+            tracks3.append(_associate(tracker.tracks3[c], labels3, n3, cents3, zero_shift))
+            tracks1.append(_associate(tracker.tracks1[c], labels1, n1, cents1, shift1))
 
-    for c, name in enumerate(CHANNEL_NAMES):
-        if name == "gripper" or (name == "destination" and not tracker.has_destination):
-            continue
-        new.tracks3[c] = _associate(tracker.tracks3[c], labels3, n3, cents3, zero_shift)
-        new.tracks1[c] = _associate(tracker.tracks1[c], labels1, n1, cents1, shift1)
-        out.masks3[c] = new.tracks3[c].mask
-        out.depths1[c] = frame.depth1 * new.tracks1[c].mask
+    masks3 = np.empty_like(obs.masks3)
+    depths1 = np.empty_like(obs.depths1)
+    for c in range(3):
+        if c == 2 and not tracker.has_destination:
+            masks3[c] = obs.masks3[c]
+            depths1[c] = obs.depths1[c]
+        else:
+            masks3[c] = tracks3[c].mask
+            np.multiply(frame.depth1, tracks1[c].mask, out=depths1[c])
 
-    new.prev_gripper_xy = frame.gripper.pose[:2].copy()
-    out.ee_pose = frame.gripper.pose.copy()
-    out.gripper_open = frame.gripper.aperture >= GRASP_APERTURE
+    new = TrackerState(tracks3, tracks1, frame.gripper.pose[:2].copy(),
+                       tracker.has_destination)
+    out = Observation(
+        action_onehot=obs.action_onehot.copy(), masks3=masks3, depths1=depths1,
+        ee_pose=frame.gripper.pose.copy(),
+        direction=None if obs.direction is None else obs.direction.copy(),
+        gripper_open=frame.gripper.aperture >= GRASP_APERTURE,
+        has_destination=obs.has_destination,
+    )
     return new, out
 
 
-def _block_mean(img: np.ndarray, out_size: int) -> np.ndarray:
-    h, w = img.shape
+def _block_mean(imgs: np.ndarray, out_size: int) -> np.ndarray:
+    """Block means of a stack of float64 images (..., h, w), bit for bit
+    imgs.reshape(..., out_size, fh, out_size, fw).mean(axis=(-3, -1)).
+
+    numpy's mean starts each block from +0.0, adds each block row summed
+    left to right, top to bottom, and divides by the block area; this does
+    the same. (That is its order while a block row holds fewer than 8
+    pixels; from 8 on its pairwise summation unrolls.)
+    """
+    *lead, h, w = imgs.shape
     fh, fw = h // out_size, w // out_size
-    return img.reshape(out_size, fh, out_size, fw).mean(axis=(1, 3))
+    blocks = imgs.reshape(*lead, out_size, fh, out_size, fw)
+    total = np.zeros((*lead, out_size, out_size))
+    for i in range(fh):
+        row = blocks[..., i, :, 0]
+        for j in range(1, fw):
+            row = row + blocks[..., i, :, j]
+        total += row
+    total /= fh * fw
+    return total
 
 
-def _block_majority(mask: np.ndarray, out_size: int) -> np.ndarray:
-    """Blocks at least half set: _block_mean(mask) >= 0.5, counted in integers.
+def _block_majority(masks: np.ndarray, out_size: int) -> np.ndarray:
+    """Blocks at least half set, for a stack of masks (..., h, w):
+    _block_mean(masks) >= 0.5, counted in integers.
 
     A block's mean is its integer count divided by its area, rounded once,
-    so it reaches 0.5 exactly when twice the count reaches the area.
+    so it reaches 0.5 exactly when the count reaches half the area.
     """
-    h, w = mask.shape
+    *lead, h, w = masks.shape
     fh, fw = h // out_size, w // out_size
     # summing whole row bands, then column bands, beats one reduce over
-    # the two strided block axes
-    bands = mask.reshape(out_size, fh, w).view(np.uint8)
-    rows = bands[:, 0].astype(np.int32)
+    # the two strided block axes; counts accumulate in the narrowest
+    # unsigned type that holds the block area
+    bands = masks.reshape(*lead, out_size, fh, w).view(np.uint8)
+    rows = bands[..., 0, :].astype(np.min_scalar_type(fh * fw))
     for k in range(1, fh):
-        rows += bands[:, k]
-    cols = rows.reshape(out_size, out_size, fw)
-    counts = cols[:, :, 0].copy()
+        rows += bands[..., k, :]
+    cols = rows.reshape(*lead, out_size, out_size, fw)
+    counts = cols[..., 0].copy()
     for k in range(1, fw):
-        counts += cols[:, :, k]
-    return 2 * counts >= fh * fw
+        counts += cols[..., k]
+    return counts >= (fh * fw + 1) // 2
+
+
+# heatmap cell centres, in grid cells; shared, so read-only
+_CELL_CENTRES = np.arange(GRID) + 0.5
+_CELL_CENTRES.flags.writeable = False
 
 
 def to_tensor(obs: Observation, frame: Frame) -> ObsTensor:
@@ -286,19 +336,18 @@ def to_tensor(obs: Observation, frame: Frame) -> ObsTensor:
     channel is a Gaussian bump at the gripper's third-view position.
     """
     grid = np.zeros((GRID_CHANNELS, GRID, GRID), dtype=np.float32)
-    for c in range(3):
-        grid[c] = _block_majority(obs.masks3[c], GRID)
-    for c in range(3):
-        d = _block_mean(obs.depths1[c], GRID) / WORKSPACE_Z
-        grid[3 + c] = np.clip(d, 0.0, 1.0).astype(np.float32)
+    grid[:3] = _block_majority(obs.masks3, GRID)
+    d = _block_mean(obs.depths1, GRID)
+    d /= WORKSPACE_Z
+    grid[3:6] = np.clip(d, 0.0, 1.0, out=d)
 
     cg = _centroid(obs.masks3[0])
     if cg is not None:
         scale = obs.masks3.shape[1] / GRID
         cr, cc = cg[0] / scale, cg[1] / scale
-        rr, cc_g = np.meshgrid(np.arange(GRID) + 0.5, np.arange(GRID) + 0.5, indexing="ij")
-        grid[6] = np.exp(-((rr - cr) ** 2 + (cc_g - cc) ** 2)
-                         / (2.0 * HEATMAP_SIGMA ** 2)).astype(np.float32)
+        dr = (_CELL_CENTRES - cr) ** 2
+        dc = (_CELL_CENTRES - cc) ** 2
+        grid[6] = np.exp(-(dr[:, None] + dc) / (2.0 * HEATMAP_SIGMA ** 2))
 
     vec = np.zeros(VEC_DIM, dtype=np.float32)
     vec[:9] = obs.action_onehot

@@ -10,6 +10,11 @@ image is not: ``render`` captures what it needs (the instance map, each
 body's color, the background and the light gain) and the frame builds the
 image on the first read of ``Frame.rgb3``. The control loop reads it only
 for digests, so an evaluation episode paints it once, not once per tick.
+
+The third camera stays put for a whole episode, so a body's pixel box and
+mask there depend only on its shape and pose. They are memoized in a small
+bounded cache, and a body that has not moved is not rasterized again. The
+first view re-centres on the gripper every tick and is rasterized afresh.
 """
 
 from __future__ import annotations
@@ -114,26 +119,56 @@ def _bodies(world: WorldState) -> list[_Body]:
     return out
 
 
-def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy: np.ndarray):
+def _footprint(body: _Body, cam: CameraConfig, center_xy):
+    """Pixel box (i0, i1, j0, j1) of a body in a view, and the body's mask
+    over that box; None when the box misses the view."""
     h, w = cam.resolution
+    r = body.radius() + cam.scale
+    r0, c0 = world_to_pixel(cam, center_xy, body.cx, body.cy)
+    # conservative pixel bounding box around the footprint
+    pr = r / cam.scale + 1.0
+    i0 = max(0, int(math.floor(r0 - pr)))
+    i1 = min(h, int(math.ceil(r0 + pr)) + 1)
+    j0 = max(0, int(math.floor(c0 - pr)))
+    j1 = min(w, int(math.ceil(c0 + pr)) + 1)
+    if i0 >= i1 or j0 >= j1:
+        return None
+    # world (x, y) of the pixel centers in the box
     ru, rv = _rotated_offsets(h, w, *cam.offset)
+    x = center_xy[0] + cam.scale * ru[i0:i1, j0:j1]
+    y = center_xy[1] + cam.scale * rv[i0:i1, j0:j1]
+    return i0, i1, j0, j1, body.mask(x, y)
+
+
+@lru_cache(maxsize=16)
+def _cached_footprint(kind, cx, cy, yaw, dims, view, offset, resolution, scale,
+                      center_x, center_y):
+    """_footprint of a body, keyed by everything it depends on; the mask
+    is shared, so read-only."""
+    body = _Body(None, kind, cx, cy, yaw, dims, None, None)
+    fp = _footprint(body, CameraConfig(view, offset, resolution, scale), (center_x, center_y))
+    if fp is not None:
+        fp[4].flags.writeable = False
+    return fp
+
+
+def _fixed_footprint(body: _Body, cam: CameraConfig, center_xy):
+    """_footprint for a camera that stays put, as the third view does for a
+    whole episode: a static body's footprint is then computed once."""
+    return _cached_footprint(body.kind, body.cx, body.cy, body.yaw, tuple(body.dims),
+                             cam.view, tuple(cam.offset), tuple(cam.resolution),
+                             cam.scale, center_xy[0], center_xy[1])
+
+
+def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy, footprint=_footprint):
+    h, w = cam.resolution
     inst = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
     height = np.zeros((h, w), dtype=np.float64)
     for b in bodies:
-        r = b.radius() + cam.scale
-        r0, c0 = world_to_pixel(cam, center_xy, b.cx, b.cy)
-        # conservative pixel bounding box around the footprint
-        pr = r / cam.scale + 1.0
-        i0 = max(0, int(math.floor(r0 - pr)))
-        i1 = min(h, int(math.ceil(r0 + pr)) + 1)
-        j0 = max(0, int(math.floor(c0 - pr)))
-        j1 = min(w, int(math.ceil(c0 + pr)) + 1)
-        if i0 >= i1 or j0 >= j1:
+        fp = footprint(b, cam, center_xy)
+        if fp is None:
             continue
-        # world (x, y) of the pixel centers in the box
-        x = center_xy[0] + cam.scale * ru[i0:i1, j0:j1]
-        y = center_xy[1] + cam.scale * rv[i0:i1, j0:j1]
-        m = b.mask(x, y)
+        i0, i1, j0, j1, m = fp
         inst[i0:i1, j0:j1][m] = b.ident
         height[i0:i1, j0:j1][m] = b.top
     return inst, height
@@ -176,11 +211,9 @@ def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
         raise ValueError("render expects a third-view and a first-view camera")
 
     bodies = _bodies(world)
-    center3 = np.array([
-        (world.workspace[0, 0] + world.workspace[0, 1]) / 2.0,
-        (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0,
-    ])
-    inst3, _ = _rasterize(bodies, cam3, center3)
+    center3 = ((world.workspace[0, 0] + world.workspace[0, 1]) / 2.0,
+               (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0)
+    inst3, _ = _rasterize(bodies, cam3, center3, _fixed_footprint)
 
     center1 = world.gripper.pose[:2].copy()
     inst1, height1 = _rasterize(bodies, cam1, center1)

@@ -3,13 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from robridge.augment import (
     AugmentConfig,
+    _dilate,
+    _hole_centers,
+    _hole_mask,
     add_blob,
-    binary_dilate,
+    augment_grids,
     delete_component,
     depth_warp,
     gaussian_blur,
     mask_jitter,
-    random_holes,
     apply_suite,
 )
 from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
@@ -82,17 +84,20 @@ def test_gaussian_blur_preserves_mass():
 
 
 def test_random_holes_identity_and_total():
-    d = rand_depth(5)
-    assert np.array_equal(random_holes(d, 0.0, seed=3), d)
-    assert not random_holes(d, 1.0, seed=3).any()
+    # holes alone (every other magnitude zero): rate 0 keeps the depth
+    # channels, rate 1 zeroes them
+    grid = np.zeros((1, GRID_CHANNELS, GRID, GRID), dtype=np.float32)
+    grid[0, 3:6] = np.stack([rand_depth(5 + c, (GRID, GRID)) for c in range(3)])
+    for rate, expected in ((0.0, grid[0, 3:6]), (1.0, np.zeros((3, GRID, GRID)))):
+        cfg = AugmentConfig(warp_mag=0, blur_sigma=0, hole_rate=rate, dilate_radius=0,
+                            shift_max=0, crop_margin=0, segment_add_delete_p=0)
+        out = augment_grids(grid, [3], cfg)
+        assert np.array_equal(out[0, 3:6], expected)
 
 
 def test_random_holes_coverage_monte_carlo():
-    img = np.ones((64, 64))
-    fractions = []
-    for seed in range(1000):
-        out = random_holes(img, 0.2, seed=seed)
-        fractions.append(1.0 - out.mean())
+    fractions = [_hole_mask(_hole_centers(seed, (64, 64), 0.2)[None], (64, 64))[0].mean()
+                 for seed in range(1000)]
     mean = float(np.mean(fractions))
     assert abs(mean - 0.2) <= 0.05, f"mean covered fraction {mean:.4f}"
 
@@ -114,7 +119,7 @@ def test_mask_jitter_stays_binary():
 def test_dilate_morphology_arithmetic():
     mask = np.zeros((16, 16), dtype=bool)
     mask[6:8, 6:8] = True
-    out = binary_dilate(mask, 1)
+    out = _dilate(mask[None], np.array([1]))[0]
     assert out.sum() == 16
     assert out[5:9, 5:9].all()
 

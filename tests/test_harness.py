@@ -348,3 +348,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "table.txt").exists()
     assert cli_main(["replay", "--log", str(tmp_path / "missing.jsonl"),
                      "--out", str(tmp_path / "r")]) == 3
+    # replay reads its suite and seed from the log header, so it refuses
+    # the flags that would override them elsewhere
+    for flag in (["--suite", "bogus"], ["--seed-base", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["replay", "--log", str(tmp_path / "missing.jsonl"), *flag])
+        assert exc.value.code == 2

@@ -2,13 +2,15 @@
 bit-identical across appearance suites and translates predictably under a
 pure camera shift."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from robridge import hcp
 from robridge.observation import build, to_tensor
 from robridge.render import render
-from robridge.tasks import instantiate, load_catalog
+from robridge.tasks import SUITE_NAMES, instantiate, load_catalog
 from robridge.world import first_camera, third_camera
 
 APPEARANCE_SUITES = ("nominal", "unseen_background", "unseen_light", "unseen_color")
@@ -25,6 +27,17 @@ def first_tensor(task_id, suite, seed, cam3=None):
     if action.type in ("open", "close", "pull", "turn", "push"):
         d = hcp.direction_constraint(action, world)
     return to_tensor(build(action, frame, g, d), frame)
+
+
+def test_first_tensors_of_every_task_and_suite_golden():
+    # one hash over the first interaction tensor of all 14 tasks x 5 suites
+    # at seed 3: rotated and shifted cameras, backgrounds, light and color;
+    # perception changes must leave every byte alone
+    h = hashlib.sha256()
+    for task_id in sorted(load_catalog().tasks):
+        for suite in SUITE_NAMES:
+            h.update(first_tensor(task_id, suite, 3).to_bytes())
+    assert h.hexdigest() == "7090f86bec067313ffe7a7c4b364970877b1b3bb0f0a7d1d5b7236dab960bf3e"
 
 
 @pytest.mark.parametrize("task_id", ["pick-place", "open-drawer", "push-block"])

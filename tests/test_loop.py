@@ -199,6 +199,12 @@ def test_recorded_and_visited_episodes_golden():
     assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (174, "ecd0c7c102c52446", 174)
     assert _steps_digest(res.recorded_steps) == (
         "d0dd3ab557abce723849647f046942feadb2a3877beb2b57f9e3de345c78d4a4")
+    # a rotated and shifted third camera: every recorded tensor, bit for bit
+    res = run_episode("open-drawer", ExpertAsPolicy(), LoopConfig(record=True),
+                      suite="unseen_camera", seed=3)
+    assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (49, "d56537333c012dda", 49)
+    assert _steps_digest(res.recorded_steps) == (
+        "2bd4d4fe2004a05560b4b588bb55e0d84fc33b0e8aa2d78be5425498baac5ab1")
 
 
 @pytest.mark.parametrize("task,over,seed", [

@@ -194,9 +194,7 @@ def foreground_images():
         lambda a: np.random.default_rng(a[2]).random((a[0], a[1])) < a[3])
 
 
-@settings(max_examples=60, deadline=None)
-@given(fg=foreground_images())
-def test_components_match_sum_labels_reference(fg):
+def assert_components_match_full_image_label(fg):
     labels, n, cents = _components(fg)
     ref_labels, ref_n = ndimage.label(fg)
     assert n == ref_n
@@ -216,6 +214,36 @@ def test_components_match_sum_labels_reference(fg):
 
 @settings(max_examples=60, deadline=None)
 @given(fg=foreground_images())
+def test_components_match_sum_labels_reference(fg):
+    assert_components_match_full_image_label(fg)
+
+
+def sparse_canvases():
+    """A 128x128 canvas, empty but for up to four random blobs at random
+    offsets, so the foreground's bounding box is a strict crop."""
+    blob = st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 127),
+                     st.integers(0, 127), st.floats(0.2, 1.0))
+
+    def paint(args):
+        seed, blobs = args
+        rng = np.random.default_rng(seed)
+        fg = np.zeros((128, 128), dtype=bool)
+        for h, w, r, c, density in blobs:
+            patch = fg[r:r + h, c:c + w]
+            patch |= rng.random(patch.shape) < density
+        return fg
+
+    return st.tuples(st.integers(0, 2**32 - 1), st.lists(blob, max_size=4)).map(paint)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fg=sparse_canvases())
+def test_components_on_sparse_canvas_match_full_image_label(fg):
+    assert_components_match_full_image_label(fg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fg=foreground_images())
 def test_centroid_matches_nonzero_mean(fg):
     idx = np.nonzero(fg)
     c = _centroid(fg)
@@ -225,11 +253,45 @@ def test_centroid_matches_nonzero_mean(fg):
         assert c.tobytes() == np.array([idx[0].mean(), idx[1].mean()]).tobytes()
 
 
+def numpy_block_mean(imgs, out_size):
+    *lead, h, w = imgs.shape
+    return imgs.reshape(*lead, out_size, h // out_size, out_size,
+                        w // out_size).mean(axis=(-3, -1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(block=st.tuples(st.integers(1, 5), st.integers(1, 5)), seed=st.integers(0, 2**32 - 1),
        density=st.floats(0.0, 1.0))
 def test_block_majority_matches_thresholded_mean(block, seed, density):
     fh, fw = block
     mask = np.random.default_rng(seed).random((8 * fh, 8 * fw)) < density
-    ref = _block_mean(mask.astype(np.float64), 8) >= 0.5
+    ref = numpy_block_mean(mask.astype(np.float64), 8) >= 0.5
     assert np.array_equal(_block_majority(mask, 8), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.tuples(st.integers(1, 17), st.integers(1, 17)), depth=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+def test_stacked_block_majority_matches_each_channel(block, depth, seed, density):
+    # block areas above 255 count in a wider type than uint8
+    fh, fw = block
+    masks = np.random.default_rng(seed).random((depth, 4 * fh, 4 * fw)) < density
+    stacked = _block_majority(masks, 4)
+    assert stacked.shape == (depth, 4, 4)
+    for c in range(depth):
+        assert np.array_equal(stacked[c], _block_majority(masks[c], 4))
+        assert np.array_equal(stacked[c], numpy_block_mean(masks[c].astype(np.float64), 4) >= 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=st.tuples(st.integers(1, 4), st.integers(1, 4)), depth=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 1.0), spread=st.integers(0, 150))
+def test_stacked_block_mean_matches_numpy_mean(block, depth, seed, zeros, spread):
+    # signed values over up to 300 decades, with +0.0 and -0.0 mixed in
+    fh, fw = block
+    rng = np.random.default_rng(seed)
+    shape = (depth, 6 * fh, 6 * fw)
+    imgs = rng.standard_normal(shape) * 10.0 ** rng.integers(-spread, spread + 1, shape)
+    imgs[rng.random(shape) < zeros] = 0.0
+    imgs[rng.random(shape) < zeros / 2] = -0.0
+    assert _block_mean(imgs, 6).tobytes() == numpy_block_mean(imgs, 6).tobytes()

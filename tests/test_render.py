@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import simple_scene_doc
-from robridge.render import frame_digest, render, world_to_pixel
+from robridge.render import (
+    _bodies,
+    _cached_footprint,
+    _rotated_offsets,
+    frame_digest,
+    render,
+    world_to_pixel,
+)
 from robridge.scenes import parse_scene
 from robridge.world import (
     GRIPPER_COLOR,
@@ -186,7 +194,6 @@ def test_background_cache_keys_on_colors(world, cams):
 def test_pixel_world_coordinates_match_full_grid_formula():
     # the rasterizer evaluates world coordinates on cached, rotated offsets;
     # they must equal the direct per-camera computation bit for bit
-    from robridge.render import _rotated_offsets
     for cam in (third_camera(offset=(3.0, -7.0, 0.3)), first_camera()):
         h, w = cam.resolution
         dx, dy, dth = cam.offset
@@ -203,3 +210,40 @@ def test_pixel_world_coordinates_match_full_grid_formula():
         assert (center[1] + cam.scale * rv[win]).tobytes() == y[win].tobytes()
         with pytest.raises(ValueError):
             ru[0, 0] = 1.0
+
+
+def full_grid_instance3(world, cam):
+    """Third-view instance map with every body tested on every pixel, in
+    painting order: no bounding boxes, no cache."""
+    h, w = cam.resolution
+    ru, rv = _rotated_offsets(h, w, *cam.offset)
+    x = (world.workspace[0, 0] + world.workspace[0, 1]) / 2.0 + cam.scale * ru
+    y = (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0 + cam.scale * rv
+    inst = np.zeros((h, w), dtype=np.int32)
+    for b in _bodies(world):
+        inst[b.mask(x, y)] = b.ident
+    return inst
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["cube", "cylinder", "drawer"]),
+       move=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), st.floats(-1.0, 1.0)),
+       offset=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(-0.3, 0.3)))
+def test_memoized_third_view_matches_full_grid_rasterization(name, move, offset):
+    # static bodies come from the footprint cache; the moved body misses it,
+    # then hits its first entry again once moved back
+    world = create_world(parse_scene(simple_scene_doc()), seed=5)
+    cam3 = third_camera(offset=offset)
+    hits = _cached_footprint.cache_info().hits
+    body = world.find(name)
+    home = body.pose.copy()
+    for pose in (home, home + (*move[:2], 0.0, move[2]), home):
+        body.pose[:] = pose
+        f = render(world, cam3, first_camera())
+        assert np.array_equal(f.instance3, full_grid_instance3(world, cam3))
+    info = _cached_footprint.cache_info()
+    assert info.hits > hits
+    assert info.maxsize <= 16
+    with pytest.raises(ValueError):
+        _cached_footprint(body.kind, *home[:2], home[3], body.dims, "third",
+                          cam3.offset, cam3.resolution, cam3.scale, 0.32, 0.32)[4][0, 0] = True
