@@ -113,7 +113,8 @@ def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
 
 
 def _warp_normals(seed: int, out: np.ndarray) -> np.ndarray:
-    """Fill out (2, h, w) with the raw displacement draws of depth_warp."""
+    """Fill out (2, h, w) with the raw displacement draws of one depth
+    image's warp."""
     return rng_for(seed, "depth-warp").standard_normal(out=out)
 
 
@@ -127,16 +128,6 @@ def _warp_block(depth: np.ndarray, disp: np.ndarray, mag: float) -> np.ndarray:
     disp *= np.divide(mag, std, out=np.ones_like(std), where=std > 0)[:, None, None, None]
     rr, cc = _pixel_grid((h, w))
     return _bilinear(depth, rr + disp[:, 0], cc + disp[:, 1])
-
-
-def depth_warp(depth: np.ndarray, mag: float, seed: int) -> np.ndarray:
-    """Resample through a smoothed Gaussian displacement field of std mag."""
-    if mag < 0:
-        raise ValueError("warp magnitude must be non-negative")
-    if mag == 0.0:
-        return depth.copy()
-    disp = _warp_normals(seed, np.empty((1, 2, *depth.shape)))
-    return _warp_block(depth.astype(np.float64)[None], disp, mag)[0].astype(depth.dtype)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -249,7 +240,7 @@ def delete_component(mask: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _draw_jitter(seed: int, cfg: AugmentConfig, params: np.ndarray):
-    """Draw mask_jitter's parameters for one mask into params, a row of
+    """Draw one mask's jitter parameters into params, a row of
     (radius, dr, dc, top, bottom, left, right); return the rare blob edit
     as (operator, seed), or None."""
     rng = rng_for(seed, "mask-jitter")
@@ -267,8 +258,9 @@ def _draw_jitter(seed: int, cfg: AugmentConfig, params: np.ndarray):
 
 
 def _jitter_block(masks: np.ndarray, params: np.ndarray, edits) -> np.ndarray:
-    """mask_jitter's image work on masks (n, h, w) bool, which it may
-    overwrite, with each mask's drawn params (n, 7) and edit."""
+    """Jitter masks (n, h, w) bool, which it may overwrite, with each
+    mask's drawn params (n, 7) and edit: dilate -> translate -> border
+    crop -> occasional blob add/delete."""
     if params[:, 0].any():
         masks = _dilate(masks, params[:, 0])
     if params[:, 1:3].any():
@@ -282,22 +274,14 @@ def _jitter_block(masks: np.ndarray, params: np.ndarray, edits) -> np.ndarray:
     return masks
 
 
-def mask_jitter(mask: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
-    """Dilate -> translate -> border crop -> occasional blob add/delete."""
-    if mask.dtype != np.bool_ and not np.isin(mask, (0, 1)).all():
-        raise ValueError("mask_jitter expects a binary image")
-    params = np.zeros((1, 7), dtype=np.int64)
-    edit = _draw_jitter(cfg.seed, cfg, params[0])
-    return _jitter_block(mask.astype(bool)[None], params, [edit])[0]
-
-
 def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     """Corrupt a block of (B, 7, h, w) grids: row i comes out exactly as
     apply_suite corrupts it under cfg with seed seeds[i].
 
-    Every row's random streams are keyed as the one-image operators key
-    them, and the image work runs over many images at once: all 3B masks,
-    and the depth images _DEPTH_CHUNK rows at a time, which bounds the
+    Each row draws its own random streams, keyed on its seed, per channel
+    and per corruption ("mask-jitter", "depth-warp", "sigma", "holes"),
+    and the image work runs over many images at once: all 3B masks, and
+    the depth images _DEPTH_CHUNK rows at a time, which bounds the
     temporaries. Only the blur goes image by image, since each image draws
     its own sigma.
     """
@@ -306,8 +290,8 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     b, _, h, w = out.shape
     if len(seeds) != b:
         raise ValueError(f"{len(seeds)} seeds for {b} grids")
-    # draw first: each row's streams, keyed as apply_suite's operators key
-    # them; the warp normals are drawn from warp_seeds pass by pass below
+    # draw first: each row's streams; the warp normals are drawn from
+    # warp_seeds pass by pass below
     jitter = np.zeros((3 * b, 7), dtype=np.int64)
     edits = []
     warp_seeds = []

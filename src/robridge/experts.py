@@ -2,8 +2,7 @@
 expert rollout collection.
 
 Each primitive gets a deterministic feedback rule over ground-truth
-state. The rules are stand-ins for per-task trained experts; anything
-satisfying ExpertPolicy.action can be dropped in instead.
+state. The rules are stand-ins for per-task trained experts.
 """
 
 from __future__ import annotations
@@ -149,9 +148,6 @@ class ExpertPolicy:
     close_gap: float = 0.02            # start closing this far above the grasp height
     grasp_clearance: float = 0.0       # descend until the tip meets the top plane
     turn_step_rad: float = 0.2
-
-    def action(self, primitive: PrimitiveAction, world: WorldState) -> np.ndarray:
-        return expert_action(primitive, world, self)
 
 
 def expert_action(primitive: PrimitiveAction, world: WorldState,

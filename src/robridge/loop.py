@@ -282,7 +282,9 @@ class Episode:
         cfg, res, current = self.cfg, self.result, self.plan.current
         action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
         if cfg.keep_visited:
-            res.visited.append(VisitedState(self.tensor, current, self.world.copy()))
+            # step returns a new world and the fault acts on that one, so
+            # this pre-step world is never written again
+            res.visited.append(VisitedState(self.tensor, current, self.world))
         self.world = world = step(self.world, action)
         fired = self._update_fault() if cfg.fault is not None else None
         r = tasklib.reward(self.task, world)

@@ -56,23 +56,12 @@ class Observation:
     gripper_open: bool
     has_destination: bool
 
-    def copy(self) -> "Observation":
-        return Observation(self.action_onehot.copy(), self.masks3.copy(),
-                           self.depths1.copy(), self.ee_pose.copy(),
-                           None if self.direction is None else self.direction.copy(),
-                           self.gripper_open, self.has_destination)
-
 
 @dataclass
 class ChannelTrack:
     mask: np.ndarray
     centroid: np.ndarray | None        # (row, col) or None
     lost: bool = False
-
-    def copy(self) -> "ChannelTrack":
-        return ChannelTrack(self.mask.copy(),
-                            None if self.centroid is None else self.centroid.copy(),
-                            self.lost)
 
 
 @dataclass
@@ -81,11 +70,6 @@ class TrackerState:
     tracks1: list[ChannelTrack]
     prev_gripper_xy: np.ndarray
     has_destination: bool
-
-    def copy(self) -> "TrackerState":
-        return TrackerState([t.copy() for t in self.tracks3],
-                            [t.copy() for t in self.tracks1],
-                            self.prev_gripper_xy.copy(), self.has_destination)
 
     def lost_channels(self) -> list[str]:
         # the gripper channel is proprioceptive and never counts as lost
@@ -250,8 +234,9 @@ def track_update(tracker: TrackerState, obs: Observation, frame: Frame,
     tracks1 = [ChannelTrack(g1, _centroid(g1), lost=False)]
     for c, name in enumerate(CHANNEL_NAMES[1:], start=1):
         if name == "destination" and not tracker.has_destination:
-            tracks3.append(tracker.tracks3[c].copy())
-            tracks1.append(tracker.tracks1[c].copy())
+            # tracks are never written after construction: reuse them
+            tracks3.append(tracker.tracks3[c])
+            tracks1.append(tracker.tracks1[c])
         else:
             tracks3.append(_associate(tracker.tracks3[c], labels3, n3, cents3, zero_shift))
             tracks1.append(_associate(tracker.tracks1[c], labels1, n1, cents1, shift1))

@@ -60,15 +60,9 @@ class PolicyParams:
     def copy(self) -> "PolicyParams":
         return PolicyParams({k: v.copy() for k, v in self.tensors.items()})
 
-    def astype(self, dtype) -> "PolicyParams":
-        return PolicyParams({k: v.astype(dtype) for k, v in self.tensors.items()})
-
     @property
     def dtype(self):
         return self.tensors["w1"].dtype
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.tensors[k].ravel() for k, _ in _SHAPES])
 
 
 def init_params(seed: int, dtype=np.float32) -> PolicyParams:

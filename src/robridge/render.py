@@ -7,9 +7,12 @@ translation shifts the rendered content by exactly that many pixels.
 
 The instance and height maps are rasterized eagerly. The third-view RGB
 image is not: ``render`` captures what it needs (the instance map, each
-body's color, the background and the light gain) and the frame builds the
+body's colour and the world's ``Appearance``) and the frame builds the
 image on the first read of ``Frame.rgb3``. The control loop reads it only
 for digests, so an evaluation episode paints it once, not once per tick.
+Colours and appearance are immutable values fixed per episode, so they
+are captured by reference, and the checkerboard background image is
+cached on the appearance's colours and cell size.
 
 The third camera stays put for a whole episode, so a body's pixel box and
 mask there depend only on its shape and pose. They are memoized in a small
@@ -19,19 +22,19 @@ first view re-centres on the gripper every tick and is rasterized afresh.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .util import canonical_json, digest_arrays
+from .util import digest_arrays
 from .world import (
     BACKGROUND_ID,
     GRIPPER_COLOR,
     GRIPPER_FOOT,
     GRIPPER_HEIGHT,
     GRIPPER_ID,
+    Appearance,
     CameraConfig,
     Entity,
     Frame,
@@ -113,7 +116,7 @@ def _bodies(world: WorldState) -> list[_Body]:
     g = world.gripper
     out.append(_Body(GRIPPER_ID, "box", g.pose[0], g.pose[1], g.pose[3],
                      (GRIPPER_FOOT, GRIPPER_FOOT, GRIPPER_HEIGHT),
-                     g.pose[2] + GRIPPER_HEIGHT, np.array(GRIPPER_COLOR)))
+                     g.pose[2] + GRIPPER_HEIGHT, GRIPPER_COLOR))
     # paint in ascending top order so the highest surface wins each pixel
     out.sort(key=lambda b: (b.top, b.ident))
     return out
@@ -175,31 +178,23 @@ def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy, footprint=_foo
 
 
 @lru_cache(maxsize=2)
-def _background_rgb(background_json: str, h: int, w: int) -> np.ndarray:
-    """Background image for a background spec (canonical JSON); shared, read-only."""
-    bg = json.loads(background_json)
+def _background_rgb(checker: tuple, cell: int, h: int, w: int) -> np.ndarray:
+    """Checkerboard of two colours in cell-pixel squares; shared, read-only."""
     img = np.empty((h, w, 3), dtype=np.float64)
-    if bg.get("kind") == "checker":
-        ca = np.array(bg["colors"][0], dtype=np.float64)
-        cb = np.array(bg["colors"][1], dtype=np.float64)
-        cell = int(bg.get("cell", 16))
-        ii, jj = np.meshgrid(np.arange(h) // cell, np.arange(w) // cell, indexing="ij")
-        parity = ((ii + jj) % 2).astype(bool)
-        img[~parity] = ca
-        img[parity] = cb
-    else:
-        img[:] = np.array(bg.get("colors", [[0.4, 0.4, 0.4]])[0], dtype=np.float64)
+    ii, jj = np.meshgrid(np.arange(h) // cell, np.arange(w) // cell, indexing="ij")
+    parity = ((ii + jj) % 2).astype(bool)
+    img[~parity] = checker[0]
+    img[parity] = checker[1]
     img.flags.writeable = False
     return img
 
 
-def _paint_rgb(inst3: np.ndarray, colors: list, background_json: str,
-               gain: np.ndarray) -> np.ndarray:
+def _paint_rgb(inst3: np.ndarray, colors: list, look: Appearance) -> np.ndarray:
     h, w = inst3.shape
-    rgb = _background_rgb(background_json, h, w).copy()
+    rgb = _background_rgb(look.checker, look.cell, h, w).copy()
     for ident, color in colors:
         rgb[inst3 == ident] = color
-    rgb = np.clip(rgb * gain, 0.0, 1.0)
+    rgb = np.clip(rgb * np.array(look.light_gain, dtype=np.float64), 0.0, 1.0)
     return np.round(rgb * 255.0).astype(np.uint8)
 
 
@@ -218,11 +213,10 @@ def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
     center1 = world.gripper.pose[:2].copy()
     inst1, height1 = _rasterize(bodies, cam1, center1)
 
-    # copies, so later in-place changes to the world cannot reach the image
-    colors = sorted({b.ident: np.array(b.color) for b in bodies}.items())
-    paint = partial(_paint_rgb, inst3, colors,
-                    canonical_json(world.appearance.background),
-                    np.array(world.appearance.light_gain, dtype=np.float64))
+    # colours and appearance are immutable, so later edits to the world
+    # rebind them and cannot reach the image
+    colors = sorted((b.ident, b.color) for b in bodies)
+    paint = partial(_paint_rgb, inst3, colors, world.appearance)
     return Frame(depth1=height1, instance3=inst3, instance1=inst1,
                  gripper=world.gripper.copy(), tick=world.tick, paint_rgb3=paint)
 

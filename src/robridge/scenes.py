@@ -7,9 +7,8 @@ and the entities with either fixed placements or sampling regions.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -56,7 +55,9 @@ class SceneSpec:
     entities: list[EntitySpec] = field(default_factory=list)
 
     def copy(self) -> "SceneSpec":
-        return copy.deepcopy(self)
+        """A copy whose fields, and its entities' fields, can be rebound
+        without reaching this spec; nothing writes the values in place."""
+        return replace(self, entities=[replace(e) for e in self.entities])
 
 
 def _as_floats(x, n, what) -> tuple:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -88,11 +88,10 @@ class Catalog:
     """Immutable task catalog loaded from the packaged data files."""
 
     def __init__(self, tasks: dict[str, TaskSpec], suites: dict[str, RandomizationSuite],
-                 train_palette: dict, train_background: list):
+                 train_palette: dict):
         self.tasks = tasks
         self.suites = suites
         self.train_palette = train_palette
-        self.train_background = train_background
 
     def task(self, task_id: str) -> TaskSpec:
         try:
@@ -150,7 +149,7 @@ def load_catalog() -> Catalog:
             camera_theta=tuple(raw.get("theta_deg", (0.0, 0.0))),
             camera_shift=tuple(raw.get("shift_px", (0.0, 0.0))),
         )
-    _CATALOG = Catalog(tasks, suites, sdoc["train_palette"], sdoc["train_background"])
+    _CATALOG = Catalog(tasks, suites, sdoc["train_palette"])
     return _CATALOG
 
 
@@ -197,19 +196,21 @@ def instantiate(task_id: str, suite: RandomizationSuite | str, seed: int,
             es.color = tuple(np.clip(c, 0.0, 1.0))
 
     world = create_world(scene, seed)
-    world.rng_seed = int(seed)
 
+    # the episode's appearance, set here once and never written again
+    look = {}
     if suite.background_textures:
         pick = int(arng.integers(len(suite.background_textures)))
-        cell = int(suite.background_cells[int(arng.integers(len(suite.background_cells)))])
-        world.appearance.background = {
-            "kind": "checker", "colors": suite.background_textures[pick], "cell": cell}
+        look["checker"] = tuple(tuple(float(v) for v in c)
+                                for c in suite.background_textures[pick])
+        look["cell"] = int(suite.background_cells[int(arng.integers(len(suite.background_cells)))])
     if suite.light_gain:
         gain = []
         for _ in range(3):
             lo, hi = suite.light_gain[int(arng.integers(len(suite.light_gain)))]
             gain.append(float(arng.uniform(lo, hi)))
-        world.appearance.light_gain = tuple(gain)
+        look["light_gain"] = tuple(gain)
+    world.appearance = replace(world.appearance, **look)
 
     cam_off = cam_extra.copy()
     if suite.camera_theta[1] > 0.0:

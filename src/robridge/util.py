@@ -7,8 +7,7 @@ SHA-256 of explicit key material, never from Python's salted ``hash``.
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,11 +48,6 @@ def digest_file(path) -> str:
         for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def canonical_json(obj: Any) -> str:
-    """JSON with sorted keys and no whitespace drift; safe to digest."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def check_schema_version(doc: dict, what: str) -> None:

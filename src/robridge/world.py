@@ -12,6 +12,12 @@ Conventions:
   - an articulated entity's pose is its base pose, the displaced pose is
     ``effective_pose``;
   - the gripper occupies a small box footprint from z to z + GRIPPER_HEIGHT.
+
+Appearance (the background checkerboard, the light gain and each body's
+colour) is fixed when an episode is instantiated and never written again:
+``Appearance`` is frozen and colours are tuples, so ``step`` and
+``WorldState.copy`` share them and copy only the poses, the gripper and
+the articulations that ``step`` writes.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ class Articulation:
     engage: str                # "grasp" | "press"
 
     def copy(self) -> "Articulation":
-        return Articulation(self.mode, self.axis.copy(), self.lo, self.hi,
-                            self.coordinate, self.handle.copy(), self.engage)
+        # step writes only the coordinate; axis and handle are read-only
+        return Articulation(self.mode, self.axis, self.lo, self.hi,
+                            self.coordinate, self.handle, self.engage)
 
 
 @dataclass
@@ -62,14 +69,14 @@ class Entity:
     name: str
     kind: str                  # "box" | "cylinder"
     dims: tuple[float, ...]    # box (sx, sy, sz); cylinder (radius, height)
-    color: np.ndarray          # rgb in [0, 1]
+    color: tuple[float, float, float]   # rgb in [0, 1]
     pose: np.ndarray           # (x, y, z_bottom, yaw) base pose
     graspable: bool
     solid: bool = True
     articulation: Articulation | None = None
 
     def copy(self) -> "Entity":
-        return Entity(self.id, self.name, self.kind, self.dims, self.color.copy(),
+        return Entity(self.id, self.name, self.kind, self.dims, self.color,
                       self.pose.copy(), self.graspable, self.solid,
                       self.articulation.copy() if self.articulation else None)
 
@@ -88,16 +95,15 @@ class GripperState:
         return GripperState(self.pose.copy(), self.aperture, self.holding)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Appearance:
-    """Scene-level look knobs; never read by geometry or depth code."""
-    background: dict = field(default_factory=lambda: {
-        "kind": "checker", "colors": [[0.36, 0.36, 0.38], [0.42, 0.42, 0.44]], "cell": 16})
+    """Scene-level look knobs; never read by geometry or depth code. The
+    background is a checkerboard of two RGB colours in cells of ``cell``
+    pixels."""
+    checker: tuple[tuple[float, float, float], tuple[float, float, float]] = (
+        (0.36, 0.36, 0.38), (0.42, 0.42, 0.44))
+    cell: int = 16
     light_gain: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def copy(self) -> "Appearance":
-        import copy as _copy
-        return Appearance(_copy.deepcopy(self.background), tuple(self.light_gain))
 
 
 @dataclass
@@ -106,20 +112,15 @@ class WorldState:
     gripper: GripperState
     workspace: np.ndarray      # (3, 2): [[xlo, xhi], [ylo, yhi], [zlo, zhi]]
     tick: int
-    rng_seed: int
     appearance: Appearance
     held_offset: np.ndarray | None = None   # (4,) held-entity pose minus gripper pose
 
     def copy(self) -> "WorldState":
-        return WorldState(
-            entities=[e.copy() for e in self.entities],
-            gripper=self.gripper.copy(),
-            workspace=self.workspace.copy(),
-            tick=self.tick,
-            rng_seed=self.rng_seed,
-            appearance=self.appearance.copy(),
-            held_offset=None if self.held_offset is None else self.held_offset.copy(),
-        )
+        """A copy that ``step`` can write: entities and gripper are copied;
+        the read-only workspace, the appearance and the held offset (which
+        is rebound, never written in place) are shared."""
+        return WorldState([e.copy() for e in self.entities], self.gripper.copy(),
+                          self.workspace, self.tick, self.appearance, self.held_offset)
 
     def entity(self, eid: int) -> Entity:
         for e in self.entities:
@@ -278,19 +279,18 @@ def interpenetration_violation(world: WorldState) -> tuple[Entity, Entity] | Non
 def create_world(scene: SceneSpec, seed: int) -> WorldState:
     """Build a world from a scene spec; identical (spec, seed) is bit-identical."""
     rng = rng_for(seed, scene.name, "geometry")
-    ws = np.array(scene.workspace, dtype=np.float64)
+    ws = _read_only(scene.workspace)
     entities: list[Entity] = []
     for idx, es in enumerate(scene.entities):
         art = None
         if es.articulation is not None:
             a = es.articulation
-            art = Articulation(a.mode, np.array(a.axis, dtype=np.float64), a.range[0],
-                               a.range[1], a.coordinate, np.array(a.handle, dtype=np.float64),
-                               a.engage)
+            art = Articulation(a.mode, _read_only(a.axis), a.range[0], a.range[1],
+                               a.coordinate, _read_only(a.handle), a.engage)
         ent = Entity(
             id=idx + 2,   # 0 background, 1 gripper
             name=es.name, kind=es.kind, dims=tuple(es.dims),
-            color=np.array(es.color, dtype=np.float64),
+            color=tuple(float(c) for c in es.color),
             pose=np.zeros(4), graspable=es.graspable, solid=es.solid,
             articulation=art,
         )
@@ -322,12 +322,19 @@ def create_world(scene: SceneSpec, seed: int) -> WorldState:
     world = WorldState(
         entities=entities,
         gripper=GripperState(pose=gp, aperture=scene.gripper_aperture),
-        workspace=ws, tick=0, rng_seed=int(seed), appearance=Appearance(),
+        workspace=ws, tick=0, appearance=Appearance(),
     )
     bad = interpenetration_violation(world)
     if bad is not None:
         raise SceneError(f"overlapping initial placements: {bad[0].name!r} and {bad[1].name!r}")
     return world
+
+
+def _read_only(values) -> np.ndarray:
+    """A float64 array that copies of the world share, so nothing may write it."""
+    a = np.array(values, dtype=np.float64)
+    a.flags.writeable = False
+    return a
 
 
 def _placement_blocked(ent: Entity, placed: list[Entity], ws: np.ndarray) -> bool:

@@ -9,9 +9,7 @@ from robridge.augment import (
     add_blob,
     augment_grids,
     delete_component,
-    depth_warp,
     gaussian_blur,
-    mask_jitter,
     apply_suite,
 )
 from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
@@ -32,23 +30,50 @@ def rand_tensor(seed):
     return ObsTensor(grid=grid, vec=vec)
 
 
+def only(**on):
+    """An AugmentConfig with every corruption off except those in on."""
+    zero = dict(warp_mag=0, blur_sigma=0, hole_rate=0, dilate_radius=0, shift_max=0,
+                crop_margin=0, segment_add_delete_p=0)
+    return AugmentConfig(**{**zero, **on})
+
+
+DEPTH, MASKS = slice(3, 6), slice(0, 3)
+
+
+def one_row(channels, image):
+    """A one-row (1, 7, h, w) grid with image in each of the given channels."""
+    grid = np.zeros((1, GRID_CHANNELS, *image.shape), dtype=np.float32)
+    grid[0, channels] = image
+    return grid
+
+
+def warped(depth, mag, seed):
+    """Depth channels after the warp alone, the image in every channel."""
+    return augment_grids(one_row(DEPTH, depth), [seed], only(warp_mag=mag))[0, DEPTH]
+
+
+def jittered(mask, seed, cfg):
+    """Mask channels after the jitter alone, the mask in every channel."""
+    return augment_grids(one_row(MASKS, mask), [seed], cfg)[0, MASKS]
+
+
 def test_depth_warp_zero_identity():
-    d = rand_depth(0)
-    assert np.array_equal(depth_warp(d, 0.0, seed=1), d)
+    grid = one_row(DEPTH, rand_depth(0))
+    assert np.array_equal(augment_grids(grid, [1], only(warp_mag=0.0)), grid)
 
 
 def test_depth_warp_constant_image_unchanged():
     d = np.full((48, 48), 0.21)
-    out = depth_warp(d, 2.0, seed=5)
-    assert np.allclose(out, 0.21, atol=1e-12)
+    out = warped(d, 2.0, seed=5)
+    assert np.allclose(out, np.float32(0.21), atol=1e-7)
 
 
 def test_depth_warp_deterministic():
     d = rand_depth(2)
-    a = depth_warp(d, 2.0, seed=9)
-    b = depth_warp(d, 2.0, seed=9)
+    a = warped(d, 2.0, seed=9)
+    b = warped(d, 2.0, seed=9)
     assert np.array_equal(a, b)
-    c = depth_warp(d, 2.0, seed=10)
+    c = warped(d, 2.0, seed=10)
     assert not np.array_equal(a, c)
 
 
@@ -104,16 +129,18 @@ def test_random_holes_coverage_monte_carlo():
 
 def test_mask_jitter_zero_config_identity():
     mask = np.random.default_rng(1).random((32, 32)) < 0.2
-    cfg = AugmentConfig(warp_mag=0, blur_sigma=0, hole_rate=0, dilate_radius=0,
-                        shift_max=0, crop_margin=0, segment_add_delete_p=0, seed=7)
-    assert np.array_equal(mask_jitter(mask, cfg), mask)
+    grid = one_row(MASKS, mask)
+    assert np.array_equal(augment_grids(grid, [7], only()), grid)
 
 
 def test_mask_jitter_stays_binary():
     mask = np.random.default_rng(2).random((32, 32)) < 0.2
+    d = AugmentConfig()
+    cfg = only(dilate_radius=d.dilate_radius, shift_max=d.shift_max,
+               crop_margin=d.crop_margin, segment_add_delete_p=d.segment_add_delete_p)
     for seed in range(20):
-        out = mask_jitter(mask, AugmentConfig(seed=seed))
-        assert out.dtype == np.bool_
+        out = jittered(mask, seed, cfg)
+        assert np.isin(out, (0.0, 1.0)).all()
 
 
 def test_dilate_morphology_arithmetic():
@@ -174,15 +201,15 @@ def test_apply_suite_leaves_vec_and_heatmap():
 @given(seed=st.integers(0, 2**31), mag=st.floats(0.5, 3.0))
 def test_depth_warp_type_preservation(seed, mag):
     d = rand_depth(seed % 100, (32, 32))
-    out = depth_warp(d, mag, seed)
+    out = warped(d, mag, seed)
     assert (out >= 0).all()
-    assert out.shape == d.shape
+    assert out.shape == (3, *d.shape)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31))
 def test_mask_ops_type_preservation(seed):
     mask = np.random.default_rng(seed % 1000).random((32, 32)) < 0.25
-    out = mask_jitter(mask, AugmentConfig(seed=seed))
-    assert out.dtype == np.bool_
-    assert out.shape == mask.shape
+    out = jittered(mask, seed, AugmentConfig())
+    assert np.isin(out, (0.0, 1.0)).all()
+    assert out.shape == (3, *mask.shape)

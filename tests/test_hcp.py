@@ -19,11 +19,20 @@ from robridge.hcp import (
     StatusNoise,
 )
 from robridge.render import render
+from robridge.tasks import instantiate, load_catalog
 from robridge.world import entity_top, first_camera, third_camera
 
 
 def types_of(plan):
     return [(a.type, a.obj, a.des) for a in plan.actions]
+
+
+@pytest.mark.parametrize("task_id", sorted(load_catalog().tasks))
+def test_plan_reproduces_catalog_oracle_plan(task_id):
+    task = load_catalog().task(task_id)
+    world, instruction, cams = instantiate(task_id, "nominal", 0)
+    assert instruction == task.instruction
+    assert types_of(hcp.plan(task.instruction, render(world, *cams))) == task.oracle_plan
 
 
 def test_plan_fetch_decomposition(frame):

@@ -1,9 +1,11 @@
+import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from conftest import states_equal
 from robridge.hcp import StatusNoise
 from robridge.loop import (
     Episode,
@@ -232,3 +234,24 @@ def test_episode_stepped_by_hand_matches_run_episode(tmp_path, task, over, seed)
         assert any(e["verdict"] == "wrong" for e in ref.status_events) and ref.success
     else:
         assert ref.stages_completed == 4
+
+
+def test_visited_worlds_stay_as_they_were_stored():
+    # advance keeps the pre-step world itself, not a copy: neither step nor
+    # the fault (which fires here) may write it afterwards
+    expert = ExpertAsPolicy()
+    ep = Episode("pick-place", LoopConfig(keep_visited=True, fault=FaultConfig()),
+                 "nominal", 11, None)
+    snapshots = []
+    while ep.running:
+        tensor = ep.observe()
+        if not ep.running:
+            break
+        snapshots.append(copy.deepcopy(ep.world))
+        ep.advance(ep.follower.act(ep.world) if ep.follower is not None
+                   else expert.act(tensor, ep.plan.current, ep.world))
+    visited = ep.result.visited
+    assert len(visited) == len(snapshots) == ep.result.ticks
+    for snap, v in zip(snapshots, visited):
+        assert states_equal(snap, v.world)
+        assert np.array_equal(snap.held_offset, v.world.held_offset)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from robridge.scenes import parse_scene
 from robridge.world import (
     GRIPPER_COLOR,
     GRIPPER_ID,
+    Appearance,
     create_world,
     effective_pose,
     first_camera,
@@ -116,9 +118,8 @@ def test_camera_rotation_moves_offcenter_content():
 def test_appearance_changes_rgb_only(world, cams):
     f0 = render(world, *cams)
     w2 = world.copy()
-    w2.appearance.light_gain = (0.6, 1.3, 0.8)
-    w2.appearance.background = {"kind": "checker",
-                                "colors": [[0.1, 0.5, 0.2], [0.3, 0.1, 0.4]], "cell": 8}
+    w2.appearance = Appearance(checker=((0.1, 0.5, 0.2), (0.3, 0.1, 0.4)), cell=8,
+                               light_gain=(0.6, 1.3, 0.8))
     f1 = render(w2, *cams)
     assert not np.array_equal(f0.rgb3, f1.rgb3)
     assert np.array_equal(f0.instance3, f1.instance3)
@@ -149,13 +150,13 @@ def test_camera_validation():
 def eager_rgb(world, instance3):
     """Reference third-view RGB: the image painted directly from the world."""
     h, w = instance3.shape
-    bg = world.appearance.background
+    look = world.appearance
     img = np.empty((h, w, 3), dtype=np.float64)
-    cell = int(bg.get("cell", 16))
+    cell = look.cell
     ii, jj = np.meshgrid(np.arange(h) // cell, np.arange(w) // cell, indexing="ij")
     parity = ((ii + jj) % 2).astype(bool)
-    img[~parity] = np.array(bg["colors"][0], dtype=np.float64)
-    img[parity] = np.array(bg["colors"][1], dtype=np.float64)
+    img[~parity] = np.array(look.checker[0], dtype=np.float64)
+    img[parity] = np.array(look.checker[1], dtype=np.float64)
     colors = {e.id: e.color for e in world.entities}
     colors[GRIPPER_ID] = np.array(GRIPPER_COLOR)
     for ident, color in sorted(colors.items()):
@@ -165,16 +166,20 @@ def eager_rgb(world, instance3):
 
 
 def test_lazy_rgb_matches_eager_and_ignores_later_world_edits(world, cams):
-    world.appearance.light_gain = (0.9, 1.1, 1.05)
+    world.appearance = replace(world.appearance, light_gain=(0.9, 1.1, 1.05))
     expected = eager_rgb(world, render(world, *cams).instance3)
     f = render(world, *cams)
-    # in-place edits after render, as a grasp fault makes, must not reach the image
+    # edits after render, as a grasp fault makes, must not reach the image;
+    # colours and appearance cannot be written in place, only rebound
     cube = world.find("cube")
     cube.pose[:2] += 0.05
-    cube.color[:] = (0.0, 1.0, 0.0)
+    cube.color = (0.0, 1.0, 0.0)
     world.gripper.pose[:2] = (0.5, 0.5)
-    world.appearance.background["colors"][0][0] = 0.9
-    world.appearance.light_gain = (0.5, 0.5, 0.5)
+    with pytest.raises(FrozenInstanceError):
+        world.appearance.light_gain = (0.5, 0.5, 0.5)
+    (r, g, b), second = world.appearance.checker
+    world.appearance = replace(world.appearance, checker=((0.9, g, b), second),
+                               light_gain=(0.5, 0.5, 0.5))
     assert f.rgb3.tobytes() == expected.tobytes()
     assert f.rgb3 is f.rgb3   # built once
 
@@ -182,13 +187,18 @@ def test_lazy_rgb_matches_eager_and_ignores_later_world_edits(world, cams):
 def test_background_cache_keys_on_colors(world, cams):
     a = world.copy()
     b = world.copy()
-    b.appearance.background = {"kind": "checker",
-                               "colors": [[0.36, 0.36, 0.38], [0.50, 0.42, 0.44]], "cell": 16}
+    b.appearance = replace(b.appearance, checker=((0.36, 0.36, 0.38), (0.50, 0.42, 0.44)))
+    # a background that differs only in its cell size
+    c = world.copy()
+    c.appearance = replace(c.appearance, cell=8)
     fa = render(a, *cams)
     assert fa.rgb3.tobytes() == eager_rgb(a, fa.instance3).tobytes()
     fb = render(b, *cams)
     assert fb.rgb3.tobytes() == eager_rgb(b, fb.instance3).tobytes()
     assert not np.array_equal(fa.rgb3, fb.rgb3)
+    fc = render(c, *cams)
+    assert fc.rgb3.tobytes() == eager_rgb(c, fc.instance3).tobytes()
+    assert not np.array_equal(fa.rgb3, fc.rgb3)
 
 
 def test_pixel_world_coordinates_match_full_grid_formula():

@@ -3,7 +3,6 @@ import pytest
 
 from robridge.util import (
     SchemaVersionError,
-    canonical_json,
     check_schema_version,
     digest_arrays,
     rng_for,
@@ -32,10 +31,6 @@ def test_digest_arrays_sensitivity():
     assert digest_arrays([x.reshape(2, 3)]) != base
     assert digest_arrays([x.astype(np.float32)]) != base
     assert digest_arrays([x], extra="t") != base
-
-
-def test_canonical_json_sorted():
-    assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
 
 
 def test_schema_version_check():

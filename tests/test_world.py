@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from robridge.scenes import SceneError, parse_scene
 from robridge.world import (
     GRASP_APERTURE,
     APERTURE_RATE,
+    Appearance,
     create_world,
     effective_pose,
     entity_top,
@@ -204,3 +207,13 @@ def test_effective_pose_linear_and_rotary():
     assert p[0] == pytest.approx(drawer.pose[0] - 0.05)
     dial = w.find("dial")
     assert effective_pose(dial)[3] == pytest.approx(0.5)
+
+
+def test_appearance_and_colours_are_shared_not_copied(world):
+    # fixed per episode: step and copy share them instead of copying
+    assert step(world, [0.3, -0.2, 0.1, -1.0]).appearance is world.appearance
+    assert world.copy().entities[0].color is world.entities[0].color
+    with pytest.raises(FrozenInstanceError):
+        world.appearance.cell = 8
+    with pytest.raises(FrozenInstanceError):
+        Appearance().light_gain = (0.5, 0.5, 0.5)
