@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .experts import ExpertError, ExpertPolicy, Trajectory, TrajectoryStep, expert_action
+from .experts import ExpertError, Trajectory, TrajectoryStep, expert_action
 from .experts import load_trajectory, save_trajectory
-from .policy import Dataset, PolicyParams, TrainConfig
+from .policy import Dataset, PolicyParams
 from .policy import train as train_policy
 from .util import SCHEMA_VERSION, digest_file, rng_for
 
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
+
 log = logging.getLogger("robridge.dagger")
+
+RELABEL_MAX_STEPS = 300    # visited states relabeled per failed rollout, at most
 
 
 @dataclass(frozen=True)
@@ -115,29 +121,15 @@ class DemoStore:
 class DaggerState:
     weights: dict[str, float]
     stores: dict[str, DemoStore]
-    f: PiecewiseRewardMap
-    n_eval: int
     iteration: int = 0
 
     def dataset_sizes(self) -> dict[str, int]:
         return {tid: len(s) for tid, s in sorted(self.stores.items())}
 
 
-@dataclass
-class DaggerConfig:
-    seed: int = 0
-    train_epochs: int = 4
-    lr: float = 1e-3
-    sample_budget: int | None = None       # stop relabeling once stored steps reach this
-    relabel_max_steps: int = 300
-    augment_cfg: object | None = None
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    loop_cfg: object | None = None
-
-
-def init(stores: dict[str, DemoStore], f: PiecewiseRewardMap, n_eval: int) -> DaggerState:
+def init(stores: dict[str, DemoStore]) -> DaggerState:
     """Equal sampling weights over already-seeded demo stores."""
-    return DaggerState(weights={tid: 1.0 for tid in stores}, stores=stores, f=f, n_eval=n_eval)
+    return DaggerState(weights={tid: 1.0 for tid in stores}, stores=stores)
 
 
 def dataset_from_stores(stores: dict[str, DemoStore]) -> Dataset:
@@ -148,23 +140,22 @@ def dataset_from_stores(stores: dict[str, DemoStore]) -> Dataset:
     return Dataset.from_trajectories(trajs)
 
 
-def _default_rollout(task_id: str, seed: int, policy_params: PolicyParams, cfg: DaggerConfig):
+def _default_rollout(task_id: str, seed: int, policy_params: PolicyParams,
+                     config: ExperimentConfig):
     """Closed-loop evaluation returning (reward, failed, visited states)."""
-    from .loop import LoopConfig, NetPolicy, run_episode
-    loop_cfg = cfg.loop_cfg or LoopConfig(max_ticks=400)
-    loop_cfg = replace(loop_cfg, keep_visited=True)
-    result = run_episode(task_id, NetPolicy(policy_params), loop_cfg, seed=seed)
+    from .loop import NetPolicy, run_episode
+    result = run_episode(task_id, NetPolicy(policy_params),
+                         replace(config.loop, keep_visited=True), seed=seed)
     return result.reward, not result.success, result.visited
 
 
-def _default_relabel(task_id: str, visited, cfg: DaggerConfig) -> Trajectory | None:
+def _default_relabel(task_id: str, visited) -> Trajectory | None:
     """Ask the expert for the correct action at every state the learner visited."""
     from .hcp import ConstraintError
-    expert = ExpertPolicy()
     steps = []
-    for v in visited[: cfg.relabel_max_steps]:
+    for v in visited[:RELABEL_MAX_STEPS]:
         try:
-            a = expert_action(v.primitive, v.world, expert)
+            a = expert_action(v.primitive, v.world)
         except (ExpertError, ConstraintError, KeyError) as e:
             log.warning("relabel skipped for %s: %s", task_id, e)
             return None
@@ -175,54 +166,50 @@ def _default_relabel(task_id: str, visited, cfg: DaggerConfig) -> Trajectory | N
                       final_tick=len(steps))
 
 
-def _train_on_union(policy_params: PolicyParams, state: DaggerState, cfg: DaggerConfig):
+def _train_on_union(policy_params: PolicyParams, state: DaggerState,
+                    config: ExperimentConfig):
+    """Train on every stored trajectory, seeded by the iteration."""
     return train_policy(policy_params, dataset_from_stores(state.stores),
-                        cfg.train_epochs, cfg.lr,
-                        seed=cfg.seed + state.iteration, cfg=cfg.train_cfg,
-                        augment_cfg=cfg.augment_cfg)
+                        config.train_epochs, config.train_lr,
+                        seed=config.seed_base + state.iteration,
+                        batch_size=config.batch_size, augment_cfg=config.augment)
 
 
-def iterate(state: DaggerState, policy_params: PolicyParams, cfg: DaggerConfig,
-            rollout_fn=None, relabel_fn=None, train_fn=None, sampler_fn=None,
-            ) -> tuple[DaggerState, PolicyParams, dict]:
+def iterate(state: DaggerState, policy_params: PolicyParams,
+            config: ExperimentConfig) -> tuple[DaggerState, PolicyParams, dict]:
     """One loop body: train, weighted-sample, test, reweight, relabel failures.
 
-    The injectable functions exist so the algorithm's bookkeeping can be
-    traced against scripted rollouts; production callers use the defaults.
+    Seeds, the training settings, ``dagger_n_eval``, ``dagger_f``,
+    ``dagger_sample_budget`` and the rollout ``loop`` all come from config.
     """
-    rollout_fn = rollout_fn or _default_rollout
-    relabel_fn = relabel_fn or _default_relabel
-    train_fn = train_fn or _train_on_union
-    sampler_fn = sampler_fn or (lambda s, c: sample_tasks(
-        s.weights, s.n_eval, seed=int(rng_for(c.seed, "iter-sample", s.iteration).integers(1 << 31))))
+    policy_params, train_metrics = _train_on_union(policy_params, state, config)
 
-    policy_params, train_metrics = train_fn(policy_params, state, cfg)
-
-    sampled = sampler_fn(state, cfg)
+    sample_seed = int(rng_for(config.seed_base, "iter-sample", state.iteration).integers(1 << 31))
+    sampled = sample_tasks(state.weights, config.dagger_n_eval, seed=sample_seed)
     tests: dict[str, list[float]] = {}
     failures: dict[str, list] = {}
     for k, tid in enumerate(sampled):
-        ep_seed = int(rng_for(cfg.seed, "iter-eval", state.iteration, k).integers(1 << 31))
-        reward, failed, visited = rollout_fn(tid, ep_seed, policy_params, cfg)
+        ep_seed = int(rng_for(config.seed_base, "iter-eval", state.iteration, k).integers(1 << 31))
+        reward, failed, visited = _default_rollout(tid, ep_seed, policy_params, config)
         tests.setdefault(tid, []).append(float(reward))
         if failed:
             failures.setdefault(tid, []).append(visited)
 
     new_weights = dict(state.weights)
     for tid, rewards in sorted(tests.items()):
-        new_weights[tid] = float(np.mean([f_value(state.f, r) for r in rewards]))
+        new_weights[tid] = float(np.mean([f_value(config.dagger_f, r) for r in rewards]))
 
     relabeled = {tid: 0 for tid in sorted(state.stores)}
     skipped = 0
     budget_hit = False
     for tid in sorted(failures):
         for visited in failures[tid]:
-            if cfg.sample_budget is not None:
+            if config.dagger_sample_budget is not None:
                 total = sum(s.sample_count() for s in state.stores.values())
-                if total >= cfg.sample_budget:
+                if total >= config.dagger_sample_budget:
                     budget_hit = True
                     break
-            traj = relabel_fn(tid, visited, cfg)
+            traj = _default_relabel(tid, visited)
             if traj is None:
                 skipped += 1
                 continue
@@ -231,8 +218,8 @@ def iterate(state: DaggerState, policy_params: PolicyParams, cfg: DaggerConfig,
         if budget_hit:
             break
 
-    new_state = DaggerState(weights=new_weights, stores=state.stores, f=state.f,
-                            n_eval=state.n_eval, iteration=state.iteration + 1)
+    new_state = DaggerState(weights=new_weights, stores=state.stores,
+                            iteration=state.iteration + 1)
     metrics = {
         "iteration": state.iteration,
         "sampled": sampled,
@@ -247,13 +234,14 @@ def iterate(state: DaggerState, policy_params: PolicyParams, cfg: DaggerConfig,
     return new_state, policy_params, metrics
 
 
-def save_state(state: DaggerState, path: Path) -> None:
+def save_state(state: DaggerState, config: ExperimentConfig, path: Path) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "iteration": state.iteration,
-        "n_eval": state.n_eval,
+        "n_eval": config.dagger_n_eval,
         "weights": dict(sorted(state.weights.items())),
-        "f": {"thresholds": list(state.f.thresholds), "values": list(state.f.values)},
+        "f": {"thresholds": list(config.dagger_f.thresholds),
+              "values": list(config.dagger_f.values)},
         "dataset_sizes": state.dataset_sizes(),
     }
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

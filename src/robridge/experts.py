@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hcp import HOVER, ConstraintError, PrimitiveAction, approach_pose, direction_constraint
+from .hcp import ConstraintError, PrimitiveAction, approach_pose, direction_constraint
 from .tasks import ExpertRandomization, TaskSpec, load_catalog
 from .util import SCHEMA_VERSION, check_schema_version
 from .world import (
@@ -30,6 +30,13 @@ from .world import (
 
 WAYPOINT_TOL = 0.005
 COLLISION_RES = 0.01     # m, straight-segment sampling step
+
+# thresholds of the scripted feedback rules
+XY_TOL = 0.006
+Z_TOL = 0.002
+CLOSE_GAP = 0.02         # start closing this far above the grasp height
+GRASP_CLEARANCE = 0.0    # descend until the tip meets the top plane
+TURN_STEP_RAD = 0.2
 
 
 class MotionPlanError(ValueError):
@@ -139,21 +146,8 @@ class WaypointFollower:
         return _clamp_to_action(np.zeros(3), g)
 
 
-@dataclass
-class ExpertPolicy:
-    """Parameters of the scripted feedback rules."""
-    hover: float = HOVER
-    xy_tol: float = 0.006
-    z_tol: float = 0.002
-    close_gap: float = 0.02            # start closing this far above the grasp height
-    grasp_clearance: float = 0.0       # descend until the tip meets the top plane
-    turn_step_rad: float = 0.2
-
-
-def expert_action(primitive: PrimitiveAction, world: WorldState,
-                  params: ExpertPolicy | None = None) -> np.ndarray:
+def expert_action(primitive: PrimitiveAction, world: WorldState) -> np.ndarray:
     """Deterministic expert command for the primitive in this state."""
-    p = params or ExpertPolicy()
     t = primitive.type
     try:
         ent = world.find(primitive.obj)
@@ -163,26 +157,26 @@ def expert_action(primitive: PrimitiveAction, world: WorldState,
         goal = approach_pose(world, primitive.obj)
         return _clamp_to_action(goal - world.gripper.pose[:3], -1.0 if world.gripper.holding else 1.0)
     if t == "grasp":
-        return _grasp_rule(world, ent, p)
+        return _grasp_rule(world, ent)
     if t == "place":
         if world.gripper.holding != ent.id:
             from .hcp import primitive_succeeded
             if primitive_succeeded(primitive, world):
                 return _clamp_to_action(np.zeros(3), 1.0)   # placed: stay put
-            return _grasp_rule(world, ent, p)   # dropped elsewhere: go re-fetch it
-        return _place_rule(world, ent, world.find(primitive.des), p)
+            return _grasp_rule(world, ent)   # dropped elsewhere: go re-fetch it
+        return _place_rule(world, world.find(primitive.des))
     if t == "press":
-        return _press_rule(world, ent, p)
+        return _press_rule(world, ent)
     if t in ("open", "close", "pull") or (t == "push" and ent.articulation is not None):
-        return _slide_rule(world, primitive, ent, p)
+        return _slide_rule(world, primitive, ent)
     if t == "turn":
-        return _turn_rule(world, primitive, ent, p)
+        return _turn_rule(world, primitive, ent)
     if t == "push":
-        return _push_rule(world, primitive, ent, p)
+        return _push_rule(world, primitive, ent)
     raise ExpertError(f"no expert rule for primitive {t!r}")
 
 
-def _grasp_rule(world: WorldState, ent, p: ExpertPolicy) -> np.ndarray:
+def _grasp_rule(world: WorldState, ent) -> np.ndarray:
     # descend onto the top plane, closing the fingers during the final
     # stretch; engagement fires on proximity, so closing early costs nothing
     # and the imitator inherits a boundary-free profile
@@ -190,13 +184,13 @@ def _grasp_rule(world: WorldState, ent, p: ExpertPolicy) -> np.ndarray:
     if world.gripper.holding == ent.id:
         return _clamp_to_action(np.zeros(3), -1.0)
     ep = effective_pose(ent)
-    grasp_z = entity_top(ent) + p.grasp_clearance
+    grasp_z = entity_top(ent) + GRASP_CLEARANCE
     dxy = np.array([ep[0] - g[0], ep[1] - g[1]])
-    if float(np.hypot(*dxy)) > p.xy_tol:
+    if float(np.hypot(*dxy)) > XY_TOL:
         return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), 1.0)
     gap = g[2] - grasp_z
     a = _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]),
-                         1.0 if gap > p.close_gap else -1.0)
+                         1.0 if gap > CLOSE_GAP else -1.0)
     a[2] = _soft_descend(grasp_z - g[2], gap)
     return a
 
@@ -204,7 +198,7 @@ def _grasp_rule(world: WorldState, ent, p: ExpertPolicy) -> np.ndarray:
 RELEASE_CLEARANCE = 0.06   # gripper height above the destination top at release
 
 
-def _place_rule(world: WorldState, obj, des, p: ExpertPolicy) -> np.ndarray:
+def _place_rule(world: WorldState, des) -> np.ndarray:
     # release at a fixed height above the destination (independent of the
     # held object's size) so the open decision is a clean function of the
     # observable gripper pose
@@ -212,16 +206,16 @@ def _place_rule(world: WorldState, obj, des, p: ExpertPolicy) -> np.ndarray:
     dp = effective_pose(des)
     release_z = entity_top(des) + RELEASE_CLEARANCE
     dxy = np.array([dp[0] - g[0], dp[1] - g[1]])
-    if float(np.hypot(*dxy)) > p.xy_tol + 0.002:
+    if float(np.hypot(*dxy)) > XY_TOL + 0.002:
         return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), -1.0)
-    if g[2] > release_z + p.z_tol:
+    if g[2] > release_z + Z_TOL:
         a = _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), -1.0)
         a[2] = _soft_descend(release_z - g[2], g[2] - release_z)
         return a
     return _clamp_to_action(np.zeros(3), 1.0)   # open and let it settle
 
 
-def _press_rule(world: WorldState, ent, p: ExpertPolicy) -> np.ndarray:
+def _press_rule(world: WorldState, ent) -> np.ndarray:
     g = world.gripper.pose[:3]
     art = ent.articulation
     if art is None:
@@ -230,7 +224,7 @@ def _press_rule(world: WorldState, ent, p: ExpertPolicy) -> np.ndarray:
         return _clamp_to_action(np.zeros(3), -1.0)
     hp = handle_point(ent)
     dxy = np.array([hp[0] - g[0], hp[1] - g[1]])
-    if float(np.hypot(*dxy)) > p.xy_tol:
+    if float(np.hypot(*dxy)) > XY_TOL:
         return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), -1.0)
     return _clamp_to_action(np.array([dxy[0], dxy[1], (hp[2] - 0.004) - g[2]]), -1.0)
 
@@ -241,7 +235,7 @@ def _engaged(world: WorldState, ent) -> bool:
             and world.gripper.aperture < 0.5)
 
 
-def _slide_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarray:
+def _slide_rule(world: WorldState, primitive, ent) -> np.ndarray:
     art = ent.articulation
     if art is None:
         raise ExpertError(f"{primitive.type!r} target {ent.name!r} is not articulated")
@@ -253,9 +247,9 @@ def _slide_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarra
     g = world.gripper.pose[:3]
     if not _engaged(world, ent):
         dxy = np.array([hp[0] - g[0], hp[1] - g[1]])
-        if float(np.hypot(*dxy)) > p.xy_tol:
+        if float(np.hypot(*dxy)) > XY_TOL:
             return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), 1.0)
-        if g[2] > hp[2] + p.z_tol:
+        if g[2] > hp[2] + Z_TOL:
             return _clamp_to_action(np.array([dxy[0], dxy[1], hp[2] - g[2]]), 1.0)
         return _clamp_to_action(np.zeros(3), -1.0)
     remaining = abs(end - art.coordinate)
@@ -263,7 +257,7 @@ def _slide_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarra
     return _clamp_to_action(hp + d * step - g, -1.0)
 
 
-def _turn_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarray:
+def _turn_rule(world: WorldState, primitive, ent) -> np.ndarray:
     art = ent.articulation
     if art is None or art.mode != "rotary":
         raise ExpertError(f"turn target {ent.name!r} is not a rotary fixture")
@@ -273,13 +267,13 @@ def _turn_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarray
     g = world.gripper.pose[:3]
     if not _engaged(world, ent):
         dxy = np.array([hp[0] - g[0], hp[1] - g[1]])
-        if float(np.hypot(*dxy)) > p.xy_tol:
+        if float(np.hypot(*dxy)) > XY_TOL:
             return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), 1.0)
-        if g[2] > hp[2] + p.z_tol:
+        if g[2] > hp[2] + Z_TOL:
             return _clamp_to_action(np.array([dxy[0], dxy[1], hp[2] - g[2]]), 1.0)
         return _clamp_to_action(np.zeros(3), -1.0)
     center = effective_pose(ent)[:2]
-    step = min(p.turn_step_rad, art.hi - art.coordinate + 0.02)
+    step = min(TURN_STEP_RAD, art.hi - art.coordinate + 0.02)
     c, s = math.cos(step), math.sin(step)
     radial = hp[:2] - center
     target_xy = center + np.array([c * radial[0] - s * radial[1],
@@ -287,7 +281,7 @@ def _turn_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarray
     return _clamp_to_action(np.array([target_xy[0] - g[0], target_xy[1] - g[1], hp[2] - g[2]]), -1.0)
 
 
-def _push_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarray:
+def _push_rule(world: WorldState, primitive, ent) -> np.ndarray:
     if primitive.des is None:
         raise ConstraintError("push without destination or articulation")
     des = world.find(primitive.des)
@@ -304,10 +298,10 @@ def _push_rule(world: WorldState, primitive, ent, p: ExpertPolicy) -> np.ndarray
     travel_z = entity_top(ent) + 0.03
     dxy = np.array([behind[0] - g[0], behind[1] - g[1]])
     if float(np.hypot(*dxy)) > 0.01:
-        if g[2] < travel_z - p.z_tol and float(np.hypot(*dxy)) < footprint_radius(ent) + grip_r + 0.05:
+        if g[2] < travel_z - Z_TOL and float(np.hypot(*dxy)) < footprint_radius(ent) + grip_r + 0.05:
             return _clamp_to_action(np.array([0.0, 0.0, travel_z - g[2]]), -1.0)
         return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), -1.0)
-    if g[2] > push_z + p.z_tol:
+    if g[2] > push_z + Z_TOL:
         return _clamp_to_action(np.array([dxy[0], dxy[1], push_z - g[2]]), -1.0)
     return _clamp_to_action(np.array([d[0] * MAX_STEP_M, d[1] * MAX_STEP_M, 0.0]), -1.0)
 

@@ -24,7 +24,7 @@ from .loop import (
     apply_fault,
     run_episode,
 )
-from .policy import TrainConfig, init_params, load_params, save_params
+from .policy import init_params, load_params, save_params
 from .render import render
 from .tasks import ExpertRandomization, instantiate, load_catalog
 from .util import SCHEMA_VERSION, check_schema_version, rng_for
@@ -48,7 +48,7 @@ class ExperimentConfig:
     expert_randomization: ExpertRandomization | None = field(
         default_factory=ExpertRandomization)
     augment: AugmentConfig | None = None
-    train: TrainConfig = field(default_factory=TrainConfig)
+    batch_size: int = 64
     train_epochs: int = 20
     train_lr: float = 1e-3
     dagger_n_eval: int = 10
@@ -135,8 +135,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         demos_per_task=_number("demos_per_task", doc.get("demos_per_task", 4), lowest=1),
         expert_randomization=expert_rand,
         augment=augment,
-        train=TrainConfig(batch_size=_number("gea.batch_size", gea.get("batch_size", 64),
-                                             lowest=1)),
+        batch_size=_number("gea.batch_size", gea.get("batch_size", 64), lowest=1),
         train_epochs=_number("gea.epochs", gea.get("epochs", 20), lowest=1),
         train_lr=_number("gea.lr", gea.get("lr", 1e-3), float, lowest=0),
         dagger_n_eval=_number("dagger.n_eval", dag.get("n_eval", 10), lowest=1),
@@ -210,10 +209,8 @@ def cmd_bc(config: ExperimentConfig, out_dir: Path) -> dict:
     fresh parameters, the same step DAgger takes before its first rollout."""
     out_dir = Path(out_dir)
     stores = _open_stores(config, out_dir / "stores")
-    dataset = daggerlib.dataset_from_stores(stores)
-    params, _ = daggerlib.train_policy(
-        init_params(config.seed_base), dataset, config.train_epochs, config.train_lr,
-        seed=config.seed_base, cfg=config.train, augment_cfg=config.augment)
+    params, _ = daggerlib._train_on_union(init_params(config.seed_base),
+                                          daggerlib.init(stores), config)
     checkpoint = out_dir / "bc" / "checkpoint.bin"
     checkpoint.parent.mkdir(parents=True, exist_ok=True)
     save_params(params, checkpoint)
@@ -231,21 +228,15 @@ def cmd_dagger(config: ExperimentConfig, out_dir: Path) -> dict:
         shutil.rmtree(work_root)
     shutil.copytree(src_root, work_root)
 
-    state = daggerlib.init(_open_stores(config, work_root), config.dagger_f,
-                           config.dagger_n_eval)
-    dcfg = daggerlib.DaggerConfig(
-        seed=config.seed_base, train_epochs=config.train_epochs, lr=config.train_lr,
-        sample_budget=config.dagger_sample_budget,
-        augment_cfg=config.augment, train_cfg=config.train,
-        loop_cfg=config.loop)
+    state = daggerlib.init(_open_stores(config, work_root))
     params = init_params(config.seed_base)
     history = []
     for it in range(config.dagger_iterations):
-        state, params, metrics = daggerlib.iterate(state, params, dcfg)
+        state, params, metrics = daggerlib.iterate(state, params, config)
         itdir = out_dir / "dagger" / f"iter_{it:02d}"
         itdir.mkdir(parents=True, exist_ok=True)
         save_params(params, itdir / "checkpoint.bin")
-        daggerlib.save_state(state, itdir / "state.json")
+        daggerlib.save_state(state, config, itdir / "state.json")
         _write_json(itdir / "metrics.json", {"schema_version": SCHEMA_VERSION, **metrics})
         history.append(metrics)
     _write_report(out_dir / "dagger" / "report.txt", config, history)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 import shlex
 import socket
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import hcp, tasks as tasklib
 from .experts import (
-    ExpertPolicy,
     MotionPlanError,
     TrajectoryStep,
     WaypointFollower,
@@ -59,11 +58,8 @@ class NetPolicy:
 class ExpertAsPolicy:
     """Adapter: scripted privileged expert driving the loop."""
 
-    def __init__(self, params: ExpertPolicy | None = None):
-        self.params = params or ExpertPolicy()
-
     def act(self, tensor: ObsTensor, primitive: PrimitiveAction, world: WorldState) -> np.ndarray:
-        return expert_action(primitive, world, self.params)
+        return expert_action(primitive, world)
 
 
 class ZeroPolicy:

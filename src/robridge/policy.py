@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,10 @@ H_GRID2 = 128
 H_VEC = 32
 H_JOINT = 128
 ACTION_DIM = 4
+
+ADAM_BETA1 = 0.9      # first-moment decay of the adaptive step
+ADAM_BETA2 = 0.999    # second-moment decay
+ADAM_EPS = 1e-8
 
 _SHAPES = (
     ("w1", (H_GRID1, GRID_IN)), ("b1", (H_GRID1,)),
@@ -75,26 +79,6 @@ def init_params(seed: int, dtype=np.float32) -> PolicyParams:
         else:
             tensors[name] = np.zeros(shape, dtype=dtype)
     return PolicyParams(tensors)
-
-
-def zero_params(dtype=np.float32) -> PolicyParams:
-    return PolicyParams({name: np.zeros(shape, dtype=dtype) for name, shape in _SHAPES})
-
-
-@dataclass
-class Batch:
-    inputs: list[ObsTensor]
-    targets: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.inputs or len(self.inputs) != len(self.targets):
-            raise ValueError("batch needs equal, nonzero numbers of inputs and targets")
-
-    def arrays(self, dtype=np.float32):
-        xg = np.stack([t.grid.reshape(-1) for t in self.inputs]).astype(dtype)
-        xv = np.stack([t.vec for t in self.inputs]).astype(dtype)
-        y = np.stack([np.asarray(t, dtype=dtype) for t in self.targets])
-        return xg, xv, y
 
 
 def _forward_arrays(p: PolicyParams, xg: np.ndarray, xv: np.ndarray):
@@ -176,49 +160,35 @@ class Dataset:
         return len(self.grid)
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[ObsTensor, np.ndarray]]) -> "Dataset":
-        grid = np.stack([t.grid for t, _ in pairs]).astype(np.float32)
-        vec = np.stack([t.vec for t, _ in pairs]).astype(np.float32)
-        act = np.stack([np.asarray(a, dtype=np.float32) for _, a in pairs])
-        return cls(grid, vec, act)
-
-    @classmethod
-    def from_trajectories(cls, trajectories, include_reach: bool = False) -> "Dataset":
+    def from_trajectories(cls, trajectories) -> "Dataset":
         """Flatten trajectories into training triples.
 
         Reach ticks are waypoint-follower output and the policy never
-        executes reach (the loop motion-plans it), so they are excluded
-        unless asked for.
+        executes reach (the loop motion-plans it), so they are excluded.
         """
         reach_idx = type_index("reach")
-        pairs = []
+        tensors, actions = [], []
         for traj in trajectories:
             for s in traj.steps:
                 t = ObsTensor.from_bytes(s.tensor_bytes)
-                if not include_reach and t.vec[reach_idx] > 0.5:
+                if t.vec[reach_idx] > 0.5:
                     continue
-                pairs.append((t, s.action))
-        return cls.from_pairs(pairs)
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 64
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+                tensors.append(t)
+                actions.append(s.action)
+        grid = np.stack([t.grid for t in tensors]).astype(np.float32)
+        vec = np.stack([t.vec for t in tensors]).astype(np.float32)
+        act = np.stack([np.asarray(a, dtype=np.float32) for a in actions])
+        return cls(grid, vec, act)
 
 
 def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: int,
-          cfg: TrainConfig | None = None, augment_cfg=None,
-          ) -> tuple[PolicyParams, dict]:
+          batch_size: int = 64, augment_cfg=None) -> tuple[PolicyParams, dict]:
     """Behavior cloning with adaptive per-parameter steps.
 
     Minibatch order is keyed to the seed; with augment_cfg set, each
     sample is corrupted with a seed derived from (seed, epoch, index) so
     every epoch sees a fresh corruption of the same demonstrations.
     """
-    cfg = cfg or TrainConfig()
     p = params.copy()
     m = {k: np.zeros_like(v) for k, v in p.tensors.items()}
     v = {k: np.zeros_like(vv) for k, vv in p.tensors.items()}
@@ -234,8 +204,8 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
         order = rng_for(seed, "shuffle", epoch).permutation(n)
         epoch_loss = 0.0
         seen = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
             if augment_cfg is not None:
                 xg = _augment_block(dataset.grid[idx], augment_cfg, seed, epoch, idx)
             else:
@@ -247,19 +217,18 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}: {loss}")
             t += 1
-            bc1 = 1.0 - cfg.beta1 ** t
-            bc2 = 1.0 - cfg.beta2 ** t
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
             for k in p.tensors:
                 _adam_step(p.tensors[k], grads.tensors[k], m[k], v[k], scratch,
-                           lr, bc1, bc2, cfg)
+                           lr, bc1, bc2)
             epoch_loss += loss * len(idx)
             seen += len(idx)
         losses.append(epoch_loss / seen)
     return p, {"loss": losses, "epochs": epochs, "samples": n}
 
 
-def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float,
-               cfg: TrainConfig) -> None:
+def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float) -> None:
     """One in-place adaptive-moment update of a parameter tensor.
 
     Same operations in the same order as
@@ -270,18 +239,18 @@ def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float,
     least pk.size elements.
     """
     a, b = (buf[:pk.size].reshape(pk.shape) for buf in scratch)
-    np.multiply(mk, cfg.beta1, out=mk)
-    np.multiply(gk, 1.0 - cfg.beta1, out=a)
+    np.multiply(mk, ADAM_BETA1, out=mk)
+    np.multiply(gk, 1.0 - ADAM_BETA1, out=a)
     np.add(mk, a, out=mk)
-    np.multiply(vk, cfg.beta2, out=vk)
-    np.multiply(gk, 1.0 - cfg.beta2, out=a)
+    np.multiply(vk, ADAM_BETA2, out=vk)
+    np.multiply(gk, 1.0 - ADAM_BETA2, out=a)
     np.multiply(a, gk, out=a)
     np.add(vk, a, out=vk)
     np.divide(mk, bc1, out=a)
     np.multiply(a, lr, out=a)
     np.divide(vk, bc2, out=b)
     np.sqrt(b, out=b)
-    np.add(b, cfg.eps, out=b)
+    np.add(b, ADAM_EPS, out=b)
     np.divide(a, b, out=a)
     np.subtract(pk, a, out=pk)
 

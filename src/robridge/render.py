@@ -36,11 +36,9 @@ from .world import (
     GRIPPER_ID,
     Appearance,
     CameraConfig,
-    Entity,
     Frame,
     WorldState,
     effective_pose,
-    footprint_radius,
 )
 
 

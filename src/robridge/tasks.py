@@ -107,9 +107,6 @@ class Catalog:
     def training_ids(self) -> list[str]:
         return [t.id for t in self.tasks.values() if not t.held_out]
 
-    def held_out_ids(self) -> list[str]:
-        return [t.id for t in self.tasks.values() if t.held_out]
-
 
 _CATALOG: Catalog | None = None
 

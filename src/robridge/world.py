@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -316,9 +316,9 @@ def create_world(scene: SceneSpec, seed: int) -> WorldState:
         entities.append(ent)
 
     gp = np.array(scene.gripper_pose, dtype=np.float64)
-    gp[0] = np.clip(gp[0], ws[0, 0], ws[0, 1])
-    gp[1] = np.clip(gp[1], ws[1, 0], ws[1, 1])
-    gp[2] = np.clip(gp[2], ws[2, 0], ws[2, 1])
+    gp[0] = min(max(gp[0], ws[0, 0]), ws[0, 1])
+    gp[1] = min(max(gp[1], ws[1, 0]), ws[1, 1])
+    gp[2] = min(max(gp[2], ws[2, 0]), ws[2, 1])
     world = WorldState(
         entities=entities,
         gripper=GripperState(pose=gp, aperture=scene.gripper_aperture),
@@ -384,7 +384,7 @@ def _articulation_step(world: WorldState, old_pos: np.ndarray, new_pos: np.ndarr
                 continue
             tangent = np.array([-radial[1], radial[0]]) / r
             dcoord = float(disp[:2] @ tangent) / r
-        art.coordinate = float(np.clip(art.coordinate + dcoord, art.lo, art.hi))
+        art.coordinate = float(min(max(art.coordinate + dcoord, art.lo), art.hi))
 
 
 def _resolve_push(world: WorldState, move_dir: np.ndarray) -> None:
@@ -438,8 +438,8 @@ def _resolve_push(world: WorldState, move_dir: np.ndarray) -> None:
 
 def _clamp_entity(e: Entity, ws: np.ndarray) -> None:
     r = footprint_radius(e)
-    e.pose[0] = float(np.clip(e.pose[0], ws[0, 0] + r, ws[0, 1] - r))
-    e.pose[1] = float(np.clip(e.pose[1], ws[1, 0] + r, ws[1, 1] - r))
+    e.pose[0] = float(min(max(e.pose[0], ws[0, 0] + r), ws[0, 1] - r))
+    e.pose[1] = float(min(max(e.pose[1], ws[1, 0] + r), ws[1, 1] - r))
 
 
 def support_height(world: WorldState, ent: Entity) -> float:
@@ -479,11 +479,11 @@ def step(world: WorldState, action) -> WorldState:
     w = world.copy()
     g = w.gripper
 
-    new_aperture = float(np.clip(g.aperture + a[3] * APERTURE_RATE, 0.0, 1.0))
+    new_aperture = float(min(max(g.aperture + a[3] * APERTURE_RATE, 0.0), 1.0))
     old_pos = g.pose[:3].copy()
     new_pos = old_pos + a[:3] * MAX_STEP_M
     for i in range(3):
-        new_pos[i] = float(np.clip(new_pos[i], w.workspace[i, 0], w.workspace[i, 1]))
+        new_pos[i] = float(min(max(new_pos[i], w.workspace[i, 0]), w.workspace[i, 1]))
 
     _articulation_step(w, old_pos, new_pos, new_aperture)
 

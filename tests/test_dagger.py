@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robridge import dagger
 from robridge.dagger import (
-    DaggerConfig,
-    DaggerState,
     DemoStore,
     PiecewiseRewardMap,
     f_value,
@@ -13,6 +12,7 @@ from robridge.dagger import (
     sample_tasks,
 )
 from robridge.experts import Trajectory, TrajectoryStep
+from robridge.harness import ExperimentConfig
 from robridge.observation import TENSOR_BYTES
 
 F = PiecewiseRewardMap()
@@ -74,7 +74,7 @@ def stub_stores(root, task_ids, per_task):
 
 
 def test_init_equal_weights_and_counts(tmp_path):
-    state = init(stub_stores(tmp_path, ["a", "b", "c"], 5), f=F, n_eval=4)
+    state = init(stub_stores(tmp_path, ["a", "b", "c"], 5))
     assert state.weights == {"a": 1.0, "b": 1.0, "c": 1.0}
     assert state.dataset_sizes() == {"a": 5, "b": 5, "c": 5}
 
@@ -113,73 +113,62 @@ EXPECTED_SIZES = [
 ]
 
 
-def run_scripted_iterations(tmp_path, n_iter=4):
-    state = init(stub_stores(tmp_path, ["A", "B", "C"], 2), f=F, n_eval=4)
-    cfg = DaggerConfig(seed=0)
+def fake_iterate_calls(monkeypatch, sampled, rollout, relabel):
+    """Script what iterate samples, rolls out and relabels; training is a no-op."""
+    monkeypatch.setattr(dagger, "sample_tasks", lambda weights, n, seed: list(sampled))
+    monkeypatch.setattr(dagger, "_default_rollout", rollout)
+    monkeypatch.setattr(dagger, "_default_relabel", relabel)
+    monkeypatch.setattr(dagger, "_train_on_union", lambda params, state, config: (params, {}))
+
+
+def run_scripted_iterations(tmp_path, monkeypatch, n_iter=4):
+    state = init(stub_stores(tmp_path, ["A", "B", "C"], 2))
+    config = ExperimentConfig(tasks=["A", "B", "C"], dagger_f=F, dagger_n_eval=4)
     policy = object()
-
-    def sampler_fn(s, c):
-        return [tid for tid, _, _ in SCRIPT[s.iteration]]
-
-    def make_rollout(iteration_box):
-        def rollout_fn(tid, seed, params, c):
-            row = [r for r in SCRIPT[iteration_box[0]] if r[0] == tid and r not in used]
-            rec = row[0]
-            used.append(rec)
-            return rec[1], rec[2], ["visited"]
-        return rollout_fn
-
-    def relabel_fn(tid, visited, c):
-        return stub_traj(tid, steps=3, success=False)
-
-    def train_fn(params, s, c):
-        return params, {"loss": []}
 
     traces = []
     for it in range(n_iter):
         used = []
-        box = [it]
-        state, policy, metrics = iterate(state, policy, cfg,
-                                         rollout_fn=make_rollout(box),
-                                         relabel_fn=relabel_fn,
-                                         train_fn=train_fn,
-                                         sampler_fn=sampler_fn)
+
+        def rollout(tid, seed, params, c):
+            row = [r for r in SCRIPT[it] if r[0] == tid and r not in used]
+            rec = row[0]
+            used.append(rec)
+            return rec[1], rec[2], ["visited"]
+
+        fake_iterate_calls(monkeypatch, [tid for tid, _, _ in SCRIPT[it]], rollout,
+                           lambda tid, visited: stub_traj(tid, steps=3, success=False))
+        state, policy, metrics = iterate(state, policy, config)
         traces.append((dict(state.weights), state.dataset_sizes()))
     return traces
 
 
-def test_iterate_trace_matches_hand_computed_oracle(tmp_path):
-    traces = run_scripted_iterations(tmp_path)
+def test_iterate_trace_matches_hand_computed_oracle(tmp_path, monkeypatch):
+    traces = run_scripted_iterations(tmp_path, monkeypatch)
     for it, (weights, sizes) in enumerate(traces):
         assert weights == EXPECTED_WEIGHTS[it], f"iteration {it} weights"
         assert sizes == EXPECTED_SIZES[it], f"iteration {it} sizes"
 
 
-def test_iterate_all_successes_reset_weights(tmp_path):
-    state = init(stub_stores(tmp_path, ["A", "B"], 1), f=F, n_eval=2)
-    cfg = DaggerConfig(seed=0)
+def test_iterate_all_successes_reset_weights(tmp_path, monkeypatch):
+    state = init(stub_stores(tmp_path, ["A", "B"], 1))
+    config = ExperimentConfig(tasks=["A", "B"], dagger_f=F, dagger_n_eval=2)
     state.weights = {"A": 2.5, "B": 0.5}
-    state, _, metrics = iterate(
-        state, object(), cfg,
-        rollout_fn=lambda tid, seed, p, c: (1.0, False, []),
-        relabel_fn=lambda tid, v, c: None,
-        train_fn=lambda p, s, c: (p, {}),
-        sampler_fn=lambda s, c: ["A", "B"],
-    )
+    fake_iterate_calls(monkeypatch, ["A", "B"],
+                       rollout=lambda tid, seed, p, c: (1.0, False, []),
+                       relabel=lambda tid, v: None)
+    state, _, metrics = iterate(state, object(), config)
     assert state.weights == {"A": 1.0, "B": 1.0}
     assert metrics["relabeled"] == {"A": 0, "B": 0}
 
 
-def test_iterate_no_failures_no_growth(tmp_path):
-    state = init(stub_stores(tmp_path, ["A"], 3), f=F, n_eval=1)
+def test_iterate_no_failures_no_growth(tmp_path, monkeypatch):
+    state = init(stub_stores(tmp_path, ["A"], 3))
     before = state.dataset_sizes()
-    state, _, _ = iterate(
-        state, object(), DaggerConfig(),
-        rollout_fn=lambda tid, seed, p, c: (1.0, False, []),
-        relabel_fn=lambda tid, v, c: stub_traj(tid),
-        train_fn=lambda p, s, c: (p, {}),
-        sampler_fn=lambda s, c: ["A"],
-    )
+    fake_iterate_calls(monkeypatch, ["A"],
+                       rollout=lambda tid, seed, p, c: (1.0, False, []),
+                       relabel=lambda tid, v: stub_traj(tid))
+    state, _, _ = iterate(state, object(), ExperimentConfig(tasks=["A"], dagger_n_eval=1))
     assert state.dataset_sizes() == before
 
 
@@ -196,8 +185,8 @@ def test_weight_ordering_monotone(tmp_path_factory, rewards_a, deltas):
     assert wa >= wb
 
 
-def test_dataset_sizes_never_decrease(tmp_path):
-    traces = run_scripted_iterations(tmp_path)
+def test_dataset_sizes_never_decrease(tmp_path, monkeypatch):
+    traces = run_scripted_iterations(tmp_path, monkeypatch)
     prev = {"A": 2, "B": 2, "C": 2}
     for _, sizes in traces:
         for t in prev:

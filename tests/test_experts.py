@@ -3,7 +3,6 @@ import pytest
 
 from conftest import gripper_to
 from robridge.experts import (
-    ExpertPolicy,
     MotionPlanError,
     Trajectory,
     TrajectoryStep,

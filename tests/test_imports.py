@@ -1,0 +1,29 @@
+import ast
+from pathlib import Path
+
+import robridge
+
+SRC = Path(robridge.__file__).parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Top-level imported names the module never mentions; ``__future__``
+    imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_top_level_imports():
+    # __init__.py imports names to re-export them
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    assert [u for p in modules for u in unused_imports(p)] == []

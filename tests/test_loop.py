@@ -16,7 +16,7 @@ from robridge.loop import (
     ZeroPolicy,
     run_episode,
 )
-from robridge.policy import zero_params
+from robridge.policy import _SHAPES, PolicyParams
 
 
 def test_expert_episode_advances_primitives():
@@ -34,7 +34,8 @@ def test_zero_policy_fails():
 
 
 def test_net_policy_zero_params_acts_like_zero():
-    res = run_episode("press-button", NetPolicy(zero_params()), LoopConfig(max_ticks=120), seed=1)
+    zeros = PolicyParams({name: np.zeros(shape, np.float32) for name, shape in _SHAPES})
+    res = run_episode("press-button", NetPolicy(zeros), LoopConfig(max_ticks=120), seed=1)
     assert not res.success
 
 
@@ -177,9 +178,16 @@ def _steps_digest(steps) -> str:
 def _visited_digest(visited) -> str:
     h = hashlib.sha256()
     for v in visited:
+        w = v.world
         h.update(v.tensor.to_bytes())
         h.update(v.primitive.type.encode())
-        h.update(str(v.world.tick).encode())
+        h.update(str(w.tick).encode())
+        h.update(np.asarray(w.gripper.pose, dtype="<f8").tobytes())
+        h.update(repr((float(w.gripper.aperture), w.gripper.holding)).encode())
+        for e in w.entities:
+            h.update(np.asarray(e.pose, dtype="<f8").tobytes())
+            if e.articulation is not None:
+                h.update(repr(float(e.articulation.coordinate)).encode())
     return h.hexdigest()
 
 
@@ -193,7 +201,7 @@ def test_recorded_and_visited_episodes_golden():
     res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(keep_visited=True), seed=3)
     assert (res.ticks, res.final_digest, len(res.visited)) == (99, "0a86cfd9a3d410c8", 99)
     assert _visited_digest(res.visited) == (
-        "24b1a2cdebd8110d64f478029ba5d0dd48deb3e52a396dc4a6ada808c9107367")
+        "fcaefa3c4f4b6a5ee2c3aa37cd2aee0d68db772b9e5f4c8b1726766bb7d3b47d")
     # a grasp fault edits the world in place; the recorded tensors follow it
     # (test_replay_roundtrip_with_fault pins the per-tick frame digests)
     res = run_episode("pick-place", ExpertAsPolicy(),

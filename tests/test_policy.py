@@ -6,12 +6,13 @@ import pytest
 from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
 from robridge.policy import (
     _SHAPES,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ARCH_FINGERPRINT,
-    Batch,
     CheckpointError,
     Dataset,
     PolicyParams,
-    TrainConfig,
     _adam_step,
     forward,
     init_params,
@@ -19,7 +20,6 @@ from robridge.policy import (
     loss_and_grad_arrays,
     save_params,
     train,
-    zero_params,
 )
 from robridge.util import rng_for
 
@@ -40,8 +40,17 @@ def rand_dataset(seed, n):
     )
 
 
+def stacked(xs, targets):
+    """Batch arrays (flat grids, vectors, targets) of observations and targets."""
+    xg = np.stack([x.grid.reshape(-1) for x in xs]).astype(np.float32)
+    xv = np.stack([x.vec for x in xs]).astype(np.float32)
+    y = np.stack([np.asarray(t, dtype=np.float32) for t in targets])
+    return xg, xv, y
+
+
 def test_zero_params_zero_output():
-    out = forward(zero_params(), rand_obs(0))
+    zeros = PolicyParams({name: np.zeros(shape, np.float32) for name, shape in _SHAPES})
+    out = forward(zeros, rand_obs(0))
     assert np.array_equal(out, np.zeros(4))
 
 
@@ -69,7 +78,7 @@ def test_loss_zero_when_targets_match():
     xs = [rand_obs(i) for i in range(4)]
     targets = [forward(p, x) for x in xs]
     # batched vs single-sample gemm differ by float32 rounding only
-    loss, grads = loss_and_grad_arrays(p, *Batch(xs, targets).arrays())
+    loss, grads = loss_and_grad_arrays(p, *stacked(xs, targets))
     assert loss == pytest.approx(0.0, abs=1e-6)
     assert max(float(np.abs(g).max()) for g in grads.tensors.values()) < 1e-3
 
@@ -78,14 +87,9 @@ def test_loss_mean_invariant_to_duplication():
     p = init_params(2)
     x = rand_obs(5)
     t = np.array([0.2, -0.3, 0.5, 0.1])
-    l1, _ = loss_and_grad_arrays(p, *Batch([x], [t]).arrays())
-    l2, _ = loss_and_grad_arrays(p, *Batch([x, x, x], [t, t, t]).arrays())
+    l1, _ = loss_and_grad_arrays(p, *stacked([x], [t]))
+    l2, _ = loss_and_grad_arrays(p, *stacked([x, x, x], [t, t, t]))
     assert l1 == pytest.approx(l2, rel=1e-6)
-
-
-def test_empty_batch_rejected():
-    with pytest.raises(ValueError):
-        Batch([], [])
 
 
 def finite_difference_check(draw_seed, coords_per_tensor=5, h=1e-5):
@@ -155,7 +159,7 @@ def test_train_augmented_golden(tmp_path):
     ds = Dataset.from_trajectories([rollout_expert("pick-place", seed=3)])
     assert len(ds) == 50
     p, metrics = train(init_params(1), ds, epochs=2, lr=1e-3, seed=4,
-                       cfg=TrainConfig(batch_size=24), augment_cfg=AugmentConfig(seed=7))
+                       batch_size=24, augment_cfg=AugmentConfig(seed=7))
     save_params(p, tmp_path / "policy.bin")
     digest = hashlib.sha256((tmp_path / "policy.bin").read_bytes()).hexdigest()
     assert digest == "8ef7113eb86958233aeff6b4312a197cfcb4f29ac659cf29b62f9876697b912e"
@@ -198,7 +202,7 @@ def test_checkpoint_fingerprint_guard(tmp_path):
     assert len(ARCH_FINGERPRINT) == 16
 
 
-def test_dataset_from_pairs_and_reach_exclusion():
+def test_dataset_from_trajectories_excludes_reach():
     t_interact = rand_obs(0)
     t_interact.vec[:9] = 0.0
     t_interact.vec[0] = 1.0   # grasp
@@ -209,12 +213,13 @@ def test_dataset_from_pairs_and_reach_exclusion():
     steps = [TrajectoryStep(t_interact.to_bytes(), np.zeros(4, np.float32), 0.0),
              TrajectoryStep(t_reach.to_bytes(), np.zeros(4, np.float32), 0.0)]
     traj = Trajectory("x", 0, steps, True, 2)
-    assert len(Dataset.from_trajectories([traj], include_reach=True)) == 2
-    assert len(Dataset.from_trajectories([traj])) == 1
+    ds = Dataset.from_trajectories([traj])
+    assert len(ds) == 1
+    assert np.array_equal(ds.grid[0], t_interact.grid)
+    assert np.array_equal(ds.vec[0], t_interact.vec)
 
 
 def test_in_place_adam_step_matches_reference_formula():
-    cfg = TrainConfig()
     rng = np.random.default_rng(3)
     p = rng.standard_normal((16, 9)).astype(np.float32)
     m = np.zeros_like(p)
@@ -224,12 +229,12 @@ def test_in_place_adam_step_matches_reference_formula():
     lr = 1e-3
     for t in range(1, 6):
         g = rng.standard_normal(p.shape).astype(np.float32)
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
-        ref_m = cfg.beta1 * ref_m + (1.0 - cfg.beta1) * g
-        ref_v = cfg.beta2 * ref_v + (1.0 - cfg.beta2) * g * g
-        ref_p = ref_p - (lr * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + cfg.eps)).astype(p.dtype)
-        _adam_step(p, g, m, v, scratch, lr, bc1, bc2, cfg)
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
+        ref_m = ADAM_BETA1 * ref_m + (1.0 - ADAM_BETA1) * g
+        ref_v = ADAM_BETA2 * ref_v + (1.0 - ADAM_BETA2) * g * g
+        ref_p = ref_p - (lr * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + ADAM_EPS)).astype(p.dtype)
+        _adam_step(p, g, m, v, scratch, lr, bc1, bc2)
         assert p.tobytes() == ref_p.tobytes()
         assert m.tobytes() == ref_m.tobytes()
         assert v.tobytes() == ref_v.tobytes()
