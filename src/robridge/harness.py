@@ -6,6 +6,7 @@ is byte-identical across reruns with the same config and seeds.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import shutil
 from dataclasses import dataclass, field
@@ -32,6 +33,11 @@ from .world import step
 
 BANNER = ("# desk-scale simulator results; absolute rates are not comparable to\n"
           "# hardware or full-scale benchmark numbers.\n")
+
+# multi-stage tasks are evaluated on this suite alone, whatever the config lists
+STAGED_SUITE = "nominal"
+
+log = logging.getLogger("robridge.harness")
 
 
 class ConfigError(ValueError):
@@ -285,7 +291,8 @@ def _policy_for(checkpoint: str):
 def cmd_eval(config: ExperimentConfig, checkpoint: str, out_dir: Path,
              jobs: int = 1) -> dict:
     """Success-rate table over tasks x suites, plus stage counts for any
-    multi-stage tasks in the config.
+    multi-stage tasks in the config. Those run on ``STAGED_SUITE`` only; a
+    warning names each one whose other configured suites are skipped.
 
     Episodes always run one after another on the calling thread, in cell
     order. A tick is mostly short numpy calls that hold the GIL, so a
@@ -315,9 +322,13 @@ def cmd_eval(config: ExperimentConfig, checkpoint: str, out_dir: Path,
            "episodes_per_cell": config.episodes_per_cell, "table": table}
 
     if staged:
+        skipped = [s for s in config.suites if s != STAGED_SUITE]
         stage_doc = {}
         for tid in staged:
-            counts = [run_episode(tid, policy, config.loop,
+            if skipped:
+                log.warning("staged task %s runs on suite %s only; skipping suites %s",
+                            tid, STAGED_SUITE, ", ".join(skipped))
+            counts = [run_episode(tid, policy, config.loop, suite=STAGED_SUITE,
                                   seed=config.seed_base + k).stages_completed
                       for k in range(config.episodes_per_cell)]
             n_stages = len(cat.task(tid).stages)
@@ -349,7 +360,8 @@ def _write_stage_table(path: Path, stage_doc: dict) -> None:
     lines = [BANNER.rstrip("\n")]
     for tid, d in stage_doc.items():
         stages = "  ".join(f"{k}:{v:.2f}" for k, v in sorted(d["histogram"].items()))
-        lines.append(f"{tid:<16s} stages>= {stages}   Avg. Len. {d['avg_len']:.2f}")
+        lines.append(f"{tid:<16s} {STAGED_SUITE:<14s} stages>= {stages}   "
+                     f"Avg. Len. {d['avg_len']:.2f}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -358,7 +370,7 @@ def _write_stage_table(path: Path, stage_doc: dict) -> None:
 
 def cmd_replay(log_path: Path, out_dir: Path) -> dict:
     """Re-simulate a logged episode, dump frames and a textual timeline,
-    and verify the final frame digest."""
+    and verify every tick's frame digest and the final one."""
     from .render import frame_digest
 
     log_path = Path(log_path)
@@ -382,6 +394,10 @@ def cmd_replay(log_path: Path, out_dir: Path) -> dict:
     timeline = []
     frame = render(world, cam3, cam1)
     for rec in records:
+        digest = frame_digest(frame)
+        if digest != rec["digest"]:
+            raise RuntimeError(f"replay mismatch at tick {rec['tick']}: recomputed digest "
+                               f"{digest} != logged {rec['digest']}")
         _write_ppm(frames_dir / f"tick_{rec['tick']:05d}.ppm", frame.rgb3)
         timeline.append(f"tick {rec['tick']:5d}  cursor {rec['cursor']}  "
                         f"{rec['primitive']:<6s} {rec['obj']:<18s} reward {rec['reward']:.3f}")

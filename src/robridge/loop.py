@@ -1,14 +1,17 @@
 """Dual-frequency closed-loop execution.
 
 An ``Episode`` owns one episode's state. Per tick, ``observe()`` refreshes
-the tracker, runs the status check every K ticks and builds the tensor
-(reach ticks skip it unless the episode records steps or keeps visited
-states); ``advance(action)`` clips the action, steps the world, lets a
-fault act, records the tick, advances the stages and renders. Success
-advances the plan cursor; Wrong regenerates the observation (re-ground,
-rebuild, fast-forward past satisfied primitives, replan if grounding is
-gone) and consumes a retry. ``run_episode`` drives an Episode: the
-waypoint follower acts on reach ticks, the policy on all others.
+the tracker's association and runs the status check every K ticks;
+``advance(action)`` clips the action, steps the world, lets a fault act,
+records the tick, advances the stages and renders. Success advances the
+plan cursor; Wrong regenerates the observation (re-ground, rebuild,
+fast-forward past satisfied primitives, replan if grounding is gone) and
+consumes a retry. The tick's observation tensor (masks, depth crops,
+``to_tensor``) is built on the first read of ``Episode.tensor`` in that
+tick: by a learned policy, by recording or by keeping visited states. The
+scripted expert and the waypoint follower never read it. ``run_episode`` drives an
+Episode: the waypoint follower acts on reach ticks, the policy on all
+others.
 """
 
 from __future__ import annotations
@@ -37,7 +40,15 @@ from .hcp import (
     StatusNoise,
     approach_pose,
 )
-from .observation import BuildError, ObsTensor, build, init_tracker, to_tensor, track_update
+from .observation import (
+    BuildError,
+    ObsTensor,
+    build,
+    init_tracker,
+    to_tensor,
+    track_update,
+    tracked_observation,
+)
 from .policy import PolicyParams, forward
 from .render import frame_digest, render
 from .tasks import ExpertRandomization, TaskSpec
@@ -46,24 +57,26 @@ from .world import WorldState, step, support_height
 
 
 class NetPolicy:
-    """Adapter: trained policy parameters driving the loop."""
+    """Adapter: trained policy parameters driving the loop. Reads the
+    episode's observation tensor."""
 
     def __init__(self, params: PolicyParams):
         self.params = params
 
-    def act(self, tensor: ObsTensor, primitive: PrimitiveAction, world: WorldState) -> np.ndarray:
-        return forward(self.params, tensor)
+    def act(self, ep: Episode) -> np.ndarray:
+        return forward(self.params, ep.tensor)
 
 
 class ExpertAsPolicy:
-    """Adapter: scripted privileged expert driving the loop."""
+    """Adapter: scripted privileged expert driving the loop. Reads the
+    current primitive and the world, never the tensor."""
 
-    def act(self, tensor: ObsTensor, primitive: PrimitiveAction, world: WorldState) -> np.ndarray:
-        return expert_action(primitive, world)
+    def act(self, ep: Episode) -> np.ndarray:
+        return expert_action(ep.plan.current, ep.world)
 
 
 class ZeroPolicy:
-    def act(self, tensor, primitive, world) -> np.ndarray:
+    def act(self, ep: Episode) -> np.ndarray:
         return np.zeros(4)
 
 
@@ -186,7 +199,8 @@ class Episode:
     Construction does the setup: per-episode noise, the scene, the log
     header, the first render, the plan and the first primitive. While
     ``running``, each tick is ``observe()`` then ``advance(action)``;
-    once it stops, ``result`` is final and the log (if any) is written.
+    between the two, ``tensor`` is the tick's observation tensor. Once it
+    stops, ``result`` is final and the log (if any) is written.
     """
 
     def __init__(self, task: TaskSpec | str, cfg: LoopConfig | None = None,
@@ -219,6 +233,8 @@ class Episode:
         # fault bookkeeping: grips so far, ticks the current grip has held, firings
         self.hold_events = self.hold_run = self.fault_fires = 0
         self.was_holding = False
+        # this tick's observation and tensor, until built: see ``tensor``
+        self._obs = self._tensor = None
         try:
             self.plan = hcp.plan(self.instruction, self.frame, cfg.external_planner,
                                  sorted(self.world.symbol_table()))
@@ -228,12 +244,13 @@ class Episode:
         except _PRIMITIVE_ERRORS as e:
             self._end("failed", f"setup: {e}")
 
-    def observe(self) -> ObsTensor | None:
-        """Refresh the tracker, run the status check every K ticks, and
-        build the tensor. Returns it, or None on a reach tick that nothing
-        records or keeps. A check can end the episode."""
+    def observe(self) -> None:
+        """Refresh the tracker's association and run the status check every
+        K ticks. A check can end the episode, or start a primitive whose
+        fresh build is then this tick's observation."""
         cfg, res = self.cfg, self.result
-        self.tracker, self.obs = track_update(self.tracker, self.obs, self.frame)
+        self.tracker = track_update(self.tracker, self.frame)
+        self._obs = self._tensor = None
         res.track_calls += 1
         if (self.world.tick + 1) % cfg.status_period == 0:
             plan, world = self.plan, self.world
@@ -264,12 +281,17 @@ class Episode:
                                         f"({plan.current.type} {plan.current.obj})")
                 else:
                     self._recover()
-            if not self.running:
-                return None
-        # the waypoint follower ignores the tensor; build it only if kept
-        keep = self.follower is None or cfg.record or cfg.keep_visited
-        self.tensor = to_tensor(self.obs, self.frame) if keep else None
-        return self.tensor
+
+    @property
+    def tensor(self) -> ObsTensor:
+        """This tick's observation tensor, built on the first read after
+        ``observe()``: from the tracker's association or, if the status
+        check started a primitive, from its build."""
+        if self._tensor is None:
+            if self._obs is None:
+                self._obs = tracked_observation(self.tracker, self.built, self.frame)
+            self._tensor = to_tensor(self._obs, self.frame)
+        return self._tensor
 
     def advance(self, action) -> None:
         """Clip and apply one action: step the world, let the fault act,
@@ -277,16 +299,18 @@ class Episode:
         at max_ticks."""
         cfg, res, current = self.cfg, self.result, self.plan.current
         action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+        # read before the step: the tensor is the pre-step frame's
+        tensor = self.tensor if cfg.record or cfg.keep_visited else None
         if cfg.keep_visited:
             # step returns a new world and the fault acts on that one, so
             # this pre-step world is never written again
-            res.visited.append(VisitedState(self.tensor, current, self.world))
+            res.visited.append(VisitedState(tensor, current, self.world))
         self.world = world = step(self.world, action)
         fired = self._update_fault() if cfg.fault is not None else None
         r = tasklib.reward(self.task, world)
         if cfg.record:
             res.recorded_steps.append(TrajectoryStep(
-                self.tensor.to_bytes(), np.asarray(action, dtype=np.float32), r))
+                tensor.to_bytes(), np.asarray(action, dtype=np.float32), r))
         if cfg.log_path:
             rec = {
                 "tick": world.tick, "cursor": self.plan.cursor,
@@ -322,8 +346,8 @@ class Episode:
         direction = None
         if action.type in ("open", "close", "pull", "turn", "push"):
             direction = hcp.direction_constraint(action, world)
-        self.obs = build(action, frame, grounding, direction)
-        self.tracker = init_tracker(self.obs, frame)
+        self._obs = self.built = build(action, frame, grounding, direction)
+        self.tracker = init_tracker(self.built, frame)
         self.follower = None
         if action.type == "reach":
             goal = approach_pose(world, action.obj)
@@ -394,8 +418,8 @@ def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,
     policy on every other tick."""
     ep = Episode(task, cfg, suite, seed, expert_rand)
     while ep.running:
-        tensor = ep.observe()
+        ep.observe()
         if ep.running:
             ep.advance(ep.follower.act(ep.world) if ep.follower is not None
-                       else policy.act(tensor, ep.plan.current, ep.world))
+                       else policy.act(ep))
     return ep.result

@@ -7,11 +7,14 @@ direction, gripper open flag). Everything is geometry-derived, so the
 bundle is invariant to background, lighting, and color changes by
 construction.
 
-A lightweight geometric tracker refreshes the masks every tick from the
+A lightweight geometric tracker follows the channels every tick on the
 identity-erased foreground: each channel re-associates to the connected
 component whose centroid is nearest its previous centroid. Components are
 labelled on the bounding box of the foreground only, which keeps the raster
 order and so the label numbers and centroids of a full-image labelling.
+``track_update`` does the association alone (centroids and lost flags,
+which the status check reads); ``tracked_observation`` turns a tick's
+association into its masks and depth crops, for whoever reads the tensor.
 
 ``to_tensor`` downsamples each channel group in one pass over its stack: a
 block majority over the three masks and a block mean over the three depth
@@ -57,11 +60,15 @@ class Observation:
     has_destination: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelTrack:
-    mask: np.ndarray
     centroid: np.ndarray | None        # (row, col) or None
     lost: bool = False
+    component: int = 0                 # label of the matched component; 0 for none
+
+
+# the gripper channel is read from the robot's own body, never associated
+_GRIPPER_TRACK = ChannelTrack(None)
 
 
 @dataclass
@@ -70,6 +77,9 @@ class TrackerState:
     tracks1: list[ChannelTrack]
     prev_gripper_xy: np.ndarray
     has_destination: bool
+    # the component labelling of the last update's frame; None after init
+    labels3: np.ndarray | None = None
+    labels1: np.ndarray | None = None
 
     def lost_channels(self) -> list[str]:
         # the gripper channel is proprioceptive and never counts as lost
@@ -159,30 +169,27 @@ def build(action: PrimitiveAction, frame: Frame, grounding: Grounding,
 
 
 def init_tracker(obs: Observation, frame: Frame) -> TrackerState:
-    tracks3, tracks1 = [], []
-    for c in range(3):
-        m3 = obs.masks3[c]
-        tracks3.append(ChannelTrack(m3.copy(), _centroid(m3), lost=False))
-        m1 = obs.depths1[c] > 0.0
-        tracks1.append(ChannelTrack(m1, _centroid(m1), lost=False))
+    tracks3, tracks1 = [_GRIPPER_TRACK], [_GRIPPER_TRACK]
+    for c in (1, 2):
+        tracks3.append(ChannelTrack(_centroid(obs.masks3[c])))
+        tracks1.append(ChannelTrack(_centroid(obs.depths1[c] > 0.0)))
     return TrackerState(tracks3, tracks1, frame.gripper.pose[:2].copy(),
                         obs.has_destination)
 
 
-def _associate(track: ChannelTrack, labels: np.ndarray, n: int,
-               centroids: np.ndarray, shift: np.ndarray) -> ChannelTrack:
+def _associate(track: ChannelTrack, n: int, centroids: np.ndarray,
+               shift: np.ndarray) -> ChannelTrack:
     """Match a channel to the nearest foreground component within the gate."""
     if track.centroid is None:
-        return ChannelTrack(np.zeros_like(track.mask), None, lost=True)
-    expected = track.centroid + shift
+        return ChannelTrack(None, lost=True)
     if n == 0:
-        return ChannelTrack(np.zeros_like(track.mask), track.centroid.copy(), lost=True)
+        return ChannelTrack(track.centroid, lost=True)
+    expected = track.centroid + shift
     d = np.hypot(centroids[:, 0] - expected[0], centroids[:, 1] - expected[1])
     best = int(np.argmin(d))
     if d[best] > TRACK_RADIUS:
-        return ChannelTrack(np.zeros_like(track.mask), track.centroid.copy(), lost=True)
-    mask = labels == best + 1
-    return ChannelTrack(mask, centroids[best].copy(), lost=False)
+        return ChannelTrack(track.centroid, lost=True)
+    return ChannelTrack(centroids[best].copy(), component=best + 1)
 
 
 # 4-connectivity, ndimage.label's default, built once instead of per call
@@ -211,14 +218,13 @@ def _components(foreground: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return labels, n, np.stack([row_sums / counts, col_sums / counts], axis=1)
 
 
-def track_update(tracker: TrackerState, obs: Observation, frame: Frame,
-                 ) -> tuple[TrackerState, Observation]:
-    """High-frequency refresh.
+def track_update(tracker: TrackerState, frame: Frame) -> TrackerState:
+    """High-frequency refresh of the association.
 
     Object and destination channels re-associate to the nearest foreground
-    component; the gripper channel refreshes from the robot's own body
-    (proprioception plus calibration, not scene appearance), so it never
-    goes lost. The constraint block follows the live gripper state.
+    component and keep its label; a channel with no component within the
+    gate is lost. Only centroids, lost flags and the labelling are made
+    here: the masks are left to ``tracked_observation``.
     """
     labels3, n3, cents3 = _components(frame.instance3 != 0)
     zero_shift = np.zeros(2)
@@ -228,39 +234,55 @@ def track_update(tracker: TrackerState, obs: Observation, frame: Frame,
     shift1 = np.array([-delta[1], -delta[0]])
     labels1, n1, cents1 = _components(frame.instance1 != 0)
 
-    g3 = frame.instance3 == GRIPPER_ID
-    g1 = frame.instance1 == GRIPPER_ID
-    tracks3 = [ChannelTrack(g3, _centroid(g3), lost=False)]
-    tracks1 = [ChannelTrack(g1, _centroid(g1), lost=False)]
+    tracks3, tracks1 = [_GRIPPER_TRACK], [_GRIPPER_TRACK]
     for c, name in enumerate(CHANNEL_NAMES[1:], start=1):
         if name == "destination" and not tracker.has_destination:
             # tracks are never written after construction: reuse them
             tracks3.append(tracker.tracks3[c])
             tracks1.append(tracker.tracks1[c])
         else:
-            tracks3.append(_associate(tracker.tracks3[c], labels3, n3, cents3, zero_shift))
-            tracks1.append(_associate(tracker.tracks1[c], labels1, n1, cents1, shift1))
+            tracks3.append(_associate(tracker.tracks3[c], n3, cents3, zero_shift))
+            tracks1.append(_associate(tracker.tracks1[c], n1, cents1, shift1))
+    return TrackerState(tracks3, tracks1, frame.gripper.pose[:2].copy(),
+                        tracker.has_destination, labels3, labels1)
 
+
+def _component_mask(labels: np.ndarray, track: ChannelTrack) -> np.ndarray:
+    """A track's mask in its frame's labelling: its component, or empty when lost."""
+    if track.component:
+        return labels == track.component
+    return np.zeros(labels.shape, dtype=bool)
+
+
+def tracked_observation(tracker: TrackerState, obs: Observation, frame: Frame) -> Observation:
+    """The observation of ``frame``, the frame ``tracker`` was last updated
+    on, for the primitive whose build is ``obs``.
+
+    Each associated channel's mask is its component in the frame's
+    labelling, and a lost channel's is empty. The gripper channel refreshes
+    from the robot's own body (proprioception plus calibration, not scene
+    appearance). A destination-less channel is carried over from ``obs``.
+    The constraint block follows the live gripper state.
+    """
     masks3 = np.empty_like(obs.masks3)
     depths1 = np.empty_like(obs.depths1)
-    for c in range(3):
+    masks3[0] = frame.instance3 == GRIPPER_ID
+    np.multiply(frame.depth1, frame.instance1 == GRIPPER_ID, out=depths1[0])
+    for c in (1, 2):
         if c == 2 and not tracker.has_destination:
             masks3[c] = obs.masks3[c]
             depths1[c] = obs.depths1[c]
-        else:
-            masks3[c] = tracks3[c].mask
-            np.multiply(frame.depth1, tracks1[c].mask, out=depths1[c])
-
-    new = TrackerState(tracks3, tracks1, frame.gripper.pose[:2].copy(),
-                       tracker.has_destination)
-    out = Observation(
+            continue
+        masks3[c] = _component_mask(tracker.labels3, tracker.tracks3[c])
+        np.multiply(frame.depth1, _component_mask(tracker.labels1, tracker.tracks1[c]),
+                    out=depths1[c])
+    return Observation(
         action_onehot=obs.action_onehot.copy(), masks3=masks3, depths1=depths1,
         ee_pose=frame.gripper.pose.copy(),
         direction=None if obs.direction is None else obs.direction.copy(),
         gripper_open=frame.gripper.aperture >= GRASP_APERTURE,
         has_destination=obs.has_destination,
     )
-    return new, out
 
 
 def _block_mean(imgs: np.ndarray, out_size: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robridge import harness
 from robridge.augment import training_augment
@@ -23,6 +25,7 @@ from robridge.harness import (
     config_from_dict,
     load_config,
 )
+from robridge.hcp import GroundingNoise, StatusNoise
 from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
 from robridge.observation import TENSOR_BYTES
 
@@ -254,13 +257,30 @@ def test_eval_runs_on_calling_thread(tmp_path, monkeypatch):
     assert doc["table"]["press-button"] == {"nominal": 0.5, "unseen_camera": 0.5, "Mean": 0.5}
 
 
-def test_eval_stage_table(tmp_path):
+def test_eval_stage_table(tmp_path, caplog):
     cfg = load_config(small_config(tmp_path, tasks=["pick-insert"],
                                    seeds={"base": 0, "episodes": 2}))
     out = tmp_path / "lh"
-    doc = cmd_eval(cfg, "expert", out)
+    with caplog.at_level(logging.WARNING, logger="robridge.harness"):
+        doc = cmd_eval(cfg, "expert", out)
     assert doc["stages"]["pick-insert"]["avg_len"] == 4.0
-    assert "Avg. Len." in (out / "stages.txt").read_text()
+    line = (out / "stages.txt").read_text().splitlines()[-1]
+    assert line.split()[:2] == ["pick-insert", "nominal"] and "Avg. Len." in line
+    # nominal is the staged suite, so no configured suite is skipped
+    assert not caplog.records
+
+
+def test_eval_staged_task_names_skipped_suites(tmp_path, caplog):
+    cfg = load_config(small_config(tmp_path, tasks=["pick-insert"],
+                                   suites=["nominal", "unseen_camera", "unseen_light"],
+                                   seeds={"base": 0, "episodes": 1}))
+    with caplog.at_level(logging.WARNING, logger="robridge.harness"):
+        doc = cmd_eval(cfg, "expert", tmp_path / "lh")
+    [record] = caplog.records
+    assert "pick-insert" in record.getMessage()
+    assert "unseen_camera, unseen_light" in record.getMessage()
+    # the table keeps its keys: the suite is named in stages.txt and the log only
+    assert set(doc["stages"]["pick-insert"]) == {"histogram", "avg_len"}
 
 
 def test_replay_roundtrip(tmp_path):
@@ -297,6 +317,48 @@ def test_replay_roundtrip_with_fault(tmp_path):
     # that per-tick frames follow the fault's in-place edit of the world
     assert hashlib.sha256(log.read_bytes()).hexdigest() == (
         "f37fc01552d7deb41c56e5aa3f613e233bc5f0c72437e82006cc5606d450bdfa")
+
+
+faults = st.one_of(st.none(), st.builds(
+    FaultConfig, displacement=st.floats(0.02, 0.10), hold_ticks=st.integers(1, 20),
+    fire_on_hold_event=st.integers(1, 2), max_fires=st.integers(1, 3)))
+status_noises = st.one_of(st.none(), st.builds(
+    StatusNoise, rate=st.floats(0.0, 0.5), seed=st.integers(0, 2**16)))
+grounding_noises = st.one_of(st.none(), st.builds(
+    GroundingNoise, flip_p=st.floats(0.0, 0.5), dilate_px=st.integers(0, 2),
+    erode_px=st.integers(0, 1), seed=st.integers(0, 2**16)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(task=st.sampled_from(["pick-place", "place-in-slot", "bin-pick", "open-drawer"]),
+       suite=st.sampled_from(["nominal", "unseen_camera"]), seed=st.integers(0, 50),
+       fault=faults, status_noise=status_noises, grounding_noise=grounding_noises,
+       status_period=st.integers(10, 25), retry_budget=st.integers(0, 2))
+def test_replay_roundtrip_under_random_faults_and_noise(
+        tmp_path_factory, task, suite, seed, fault, status_noise, grounding_noise,
+        status_period, retry_budget):
+    tmp = tmp_path_factory.mktemp("replay")
+    log = tmp / "ep.jsonl"
+    res = run_episode(task, ExpertAsPolicy(), LoopConfig(
+        status_period=status_period, retry_budget=retry_budget, max_ticks=200,
+        fault=fault, status_noise=status_noise, grounding_noise=grounding_noise,
+        log_path=str(log)), suite=suite, seed=seed)
+    # replay checks every record's frame digest on its way to the final one
+    info = cmd_replay(log, tmp / "out")
+    assert info["final_digest"] == res.final_digest
+    assert info["frames"] == res.ticks == len(list((tmp / "out" / "frames").glob("*.ppm")))
+
+
+def test_replay_names_the_first_tick_whose_frame_differs(tmp_path):
+    log = tmp_path / "ep.jsonl"
+    run_episode("press-button", ExpertAsPolicy(), LoopConfig(log_path=str(log)), seed=4)
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["digest"] = "0" * len(rec["digest"])
+    lines[5] = json.dumps(rec, sort_keys=True)
+    log.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RuntimeError, match=f"replay mismatch at tick {rec['tick']}:"):
+        cmd_replay(log, tmp_path / "r")
 
 
 def test_replay_rejects_empty_log(tmp_path):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import robridge.loop as looplib
 from conftest import states_equal
 from robridge.hcp import StatusNoise
 from robridge.loop import (
@@ -228,13 +229,13 @@ def test_episode_stepped_by_hand_matches_run_episode(tmp_path, task, over, seed)
     expert = ExpertAsPolicy()
     ep = Episode(task, LoopConfig(log_path=str(log), **over), "nominal", seed, None)
     while ep.running:
-        tensor = ep.observe()
+        ep.observe()
         if not ep.running:
             break
         if ep.follower is not None:
             ep.advance(ep.follower.act(ep.world))
         else:
-            ep.advance(expert.act(tensor, ep.plan.current, ep.world))
+            ep.advance(expert.act(ep))
     assert ep.result == ref
     assert log.read_bytes() == ref_log.read_bytes()
     if over:   # the fault fired and a Wrong verdict recovered from it
@@ -252,14 +253,78 @@ def test_visited_worlds_stay_as_they_were_stored():
                  "nominal", 11, None)
     snapshots = []
     while ep.running:
-        tensor = ep.observe()
+        ep.observe()
         if not ep.running:
             break
         snapshots.append(copy.deepcopy(ep.world))
         ep.advance(ep.follower.act(ep.world) if ep.follower is not None
-                   else expert.act(tensor, ep.plan.current, ep.world))
+                   else expert.act(ep))
     visited = ep.result.visited
     assert len(visited) == len(snapshots) == ep.result.ticks
     for snap, v in zip(snapshots, visited):
         assert states_equal(snap, v.world)
         assert np.array_equal(snap.held_offset, v.world.held_offset)
+
+
+def _calls(monkeypatch, name):
+    """Arguments of every call the loop makes through ``loop.<name>``."""
+    calls, real = [], getattr(looplib, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(looplib, name, recorded)
+    return calls
+
+
+def _zero_net_policy():
+    return NetPolicy(PolicyParams({name: np.zeros(shape, np.float32) for name, shape in _SHAPES}))
+
+
+RESULT_FIELDS = ("outcome", "reason", "ticks", "reward", "stages_completed", "final_digest",
+                 "status_events", "primitive_log")
+
+
+@pytest.mark.parametrize("task,over,seed", [
+    ("pick-place", {"fault": FaultConfig(), "status_noise": StatusNoise(rate=0.2, seed=1)}, 11),
+    ("pick-insert", {}, 1),
+    ("open-drawer", {"status_period": 10}, 3),
+])
+def test_expert_episode_builds_no_tensor_and_reading_it_changes_nothing(
+        monkeypatch, task, over, seed):
+    built = _calls(monkeypatch, "to_tensor")
+    ref = run_episode(task, ExpertAsPolicy(), LoopConfig(**over), seed=seed)
+    assert built == []
+    # the same episode, reading the tensor (twice) on every tick before acting
+    expert = ExpertAsPolicy()
+    ep = Episode(task, LoopConfig(**over), "nominal", seed, None)
+    while ep.running:
+        ep.observe()
+        if not ep.running:
+            break
+        assert ep.tensor is ep.tensor
+        ep.advance(ep.follower.act(ep.world) if ep.follower is not None else expert.act(ep))
+    for name in RESULT_FIELDS:
+        assert getattr(ep.result, name) == getattr(ref, name), name
+    assert [frame.tick for _, frame in built] == list(range(ref.ticks))
+
+
+def test_net_policy_builds_one_tensor_per_policy_tick(monkeypatch):
+    built = _calls(monkeypatch, "to_tensor")
+    forwards = _calls(monkeypatch, "forward")
+    res = run_episode("press-button", _zero_net_policy(), LoopConfig(max_ticks=120), seed=1)
+    # reach ticks belong to the waypoint follower and build nothing
+    assert 0 < len(forwards) < res.ticks
+    ticks = [frame.tick for _, frame in built]
+    assert len(ticks) == len(set(ticks)) == len(forwards)
+
+
+@pytest.mark.parametrize("over", [
+    {"record": True}, {"keep_visited": True}, {"record": True, "keep_visited": True}])
+@pytest.mark.parametrize("net", [False, True])
+def test_recording_or_keeping_builds_one_tensor_per_tick(monkeypatch, over, net):
+    built = _calls(monkeypatch, "to_tensor")
+    policy = _zero_net_policy() if net else ExpertAsPolicy()
+    res = run_episode("pick-place", policy, LoopConfig(max_ticks=120, **over), seed=3)
+    assert [frame.tick for _, frame in built] == list(range(res.ticks))
+    assert len(res.recorded_steps or res.visited) == res.ticks

@@ -21,6 +21,7 @@ from robridge.observation import (
     init_tracker,
     to_tensor,
     track_update,
+    tracked_observation,
 )
 from robridge.render import render
 from robridge.world import GRIPPER_ID, first_camera, step, third_camera
@@ -86,7 +87,8 @@ def test_tracker_static_scene_identity(world, frame):
     tr = init_tracker(obs, frame)
     w2 = step(world, np.zeros(4))
     f2 = render(w2, third_camera(), first_camera())
-    tr2, obs2 = track_update(tr, obs, f2)
+    tr2 = track_update(tr, f2)
+    obs2 = tracked_observation(tr2, obs, f2)
     assert np.array_equal(obs2.masks3[1], obs.masks3[1])
     assert not tr2.tracks3[1].lost
 
@@ -97,7 +99,8 @@ def test_tracker_follows_small_motion(world, cams):
     w2 = world.copy()
     w2.find("cube").pose[0] += 0.015   # 3 px at 5 mm/px
     f2 = render(w2, *cams)
-    tr2, obs2 = track_update(tr, obs, f2)
+    tr2 = track_update(tr, f2)
+    obs2 = tracked_observation(tr2, obs, f2)
     c_old = np.array(np.nonzero(obs.masks3[1])).mean(axis=1)
     c_new = np.array(np.nonzero(obs2.masks3[1])).mean(axis=1)
     assert abs((c_new - c_old)[1] - 3.0) <= 1.0
@@ -111,7 +114,8 @@ def test_tracker_losing_and_recovering_object(world, cams):
     w2 = world.copy()
     w2.find("cube").pose[0] += 0.08    # 16 px: outside the 8 px gate
     f2 = render(w2, *cams)
-    tr2, obs2 = track_update(tr, obs, f2)
+    tr2 = track_update(tr, f2)
+    obs2 = tracked_observation(tr2, obs, f2)
     assert tr2.tracks3[1].lost
     assert not obs2.masks3[1].any()
     assert "object" in tr2.lost_channels()
@@ -127,10 +131,11 @@ def test_tracker_iou_against_ground_truth(world, cams):
         w2 = w.copy()
         w2.find("cube").pose[:2] += rng.uniform(-0.008, 0.008, 2)
         f = render(w2, *cams)
-        tr, obs = track_update(tr, obs, f)
+        tr = track_update(tr, f)
+        tracked = tracked_observation(tr, obs, f)
         truth = f.instance3 == w2.find("cube").id
-        inter = (obs.masks3[1] & truth).sum()
-        union = (obs.masks3[1] | truth).sum()
+        inter = (tracked.masks3[1] & truth).sum()
+        union = (tracked.masks3[1] | truth).sum()
         assert inter / union >= 0.9
         w = w2
 
@@ -183,8 +188,9 @@ def test_gripper_channel_refreshes_from_proprioception(world, cams):
     for _ in range(8):
         w = step(w, np.array([0.8, 0.4, -0.2, 0.0]))
         f = render(w, *cams)
-        tr, obs = track_update(tr, obs, f)
-        assert np.array_equal(obs.masks3[0], f.instance3 == GRIPPER_ID)
+        tr = track_update(tr, f)
+        tracked = tracked_observation(tr, obs, f)
+        assert np.array_equal(tracked.masks3[0], f.instance3 == GRIPPER_ID)
         assert not tr.tracks3[0].lost
 
 
