@@ -36,12 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed-base", type=int, default=None, help="override seeds.base")
-        p.add_argument("--suite", default=None, help="restrict to one suite")
 
+    # demo collection and DAgger rollouts always run the nominal suite, so
+    # only eval takes --suite
     common(sub.add_parser("collect", help="collect expert demonstrations"))
     common(sub.add_parser("dagger", help="run the adaptive-sampling trainer"))
     pe = sub.add_parser("eval", help="evaluate a checkpoint over tasks x suites")
     common(pe)
+    pe.add_argument("--suite", default=None, help="restrict to one suite")
     pe.add_argument("--checkpoint", required=True,
                     help="checkpoint path, or the literals 'expert' / 'zero'")
     # the suite and seed come from the log's header, so replay takes no
@@ -69,7 +71,7 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             if args.seed_base is not None:
                 config.seed_base = args.seed_base
-            if args.suite is not None:
+            if getattr(args, "suite", None) is not None:
                 if args.suite not in load_catalog().suites:
                     raise ConfigError(f"unknown suite {args.suite!r}")
                 config.suites = [args.suite]

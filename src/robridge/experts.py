@@ -18,7 +18,7 @@ from .hcp import ConstraintError, PrimitiveAction, approach_pose, direction_cons
 from .tasks import ExpertRandomization, TaskSpec, load_catalog
 from .util import SCHEMA_VERSION, check_schema_version
 from .world import (
-    GRIPPER_FOOT,
+    GRIPPER_RADIUS,
     MAX_STEP_M,
     WorldState,
     effective_pose,
@@ -37,6 +37,8 @@ Z_TOL = 0.002
 CLOSE_GAP = 0.02         # start closing this far above the grasp height
 GRASP_CLEARANCE = 0.0    # descend until the tip meets the top plane
 TURN_STEP_RAD = 0.2
+SLOW_GAP = 0.03          # descend slowly within this gap above the stop height
+SLOW_CAP = 0.4           # the vertical command's bound while slow
 
 
 class MotionPlanError(ValueError):
@@ -54,12 +56,12 @@ def _clamp_to_action(delta: np.ndarray, g: float) -> np.ndarray:
     return np.clip(a, -1.0, 1.0)
 
 
-def _soft_descend(dz: float, gap: float, cap: float = 0.4, near: float = 0.03) -> float:
+def _soft_descend(dz: float, gap: float) -> float:
     """Slow the vertical approach near the stop height so the profile has
     intermediate speeds an imitator can latch onto."""
     cmd = np.clip(dz / MAX_STEP_M, -1.0, 1.0)
-    if gap < near:
-        cmd = float(np.clip(cmd, -cap, cap))
+    if gap < SLOW_GAP:
+        cmd = float(np.clip(cmd, -SLOW_CAP, SLOW_CAP))
     return cmd
 
 
@@ -84,9 +86,8 @@ def motion_plan_reach(world: WorldState, target) -> list[np.ndarray]:
         hang = max(0.0, -float(world.held_offset[2]))
 
     z_plane = max(pos[2], target[2])
-    grip_r = GRIPPER_FOOT * math.sqrt(2.0) / 2.0
     for _ in range(8):
-        blocker_top = _segment_blocked(world, pos[:2], target[:2], z_plane - hang, grip_r)
+        blocker_top = _segment_blocked(world, pos[:2], target[:2], z_plane - hang)
         if blocker_top is None:
             break
         z_plane = blocker_top + hang + 0.01
@@ -101,7 +102,7 @@ def motion_plan_reach(world: WorldState, target) -> list[np.ndarray]:
 
 
 def _segment_blocked(world: WorldState, a: np.ndarray, b: np.ndarray,
-                     z: float, grip_r: float) -> float | None:
+                     z: float) -> float | None:
     """Top height of the tallest entity hit along the segment, else None."""
     length = float(np.hypot(*(b - a)))
     steps = max(2, int(math.ceil(length / COLLISION_RES)) + 1)
@@ -114,7 +115,7 @@ def _segment_blocked(world: WorldState, a: np.ndarray, b: np.ndarray,
         if top <= z + 1e-6:
             continue
         p = effective_pose(e)
-        r = footprint_radius(e) + grip_r
+        r = footprint_radius(e) + GRIPPER_RADIUS
         for t in ts:
             x, y = a + (b - a) * t
             if (x - p[0]) ** 2 + (y - p[1]) ** 2 <= r * r:
@@ -292,13 +293,13 @@ def _push_rule(world: WorldState, primitive, ent) -> np.ndarray:
     if footprint_contains(des, ep[0], ep[1]):
         return _clamp_to_action(np.zeros(3), -1.0)
     d = direction_constraint(primitive, world)
-    grip_r = GRIPPER_FOOT * math.sqrt(2.0) / 2.0
-    behind = ep[:2] - d[:2] * (footprint_radius(ent) + grip_r + 0.004)
+    behind = ep[:2] - d[:2] * (footprint_radius(ent) + GRIPPER_RADIUS + 0.004)
     push_z = ep[2] + ent.height * 0.4
     travel_z = entity_top(ent) + 0.03
     dxy = np.array([behind[0] - g[0], behind[1] - g[1]])
     if float(np.hypot(*dxy)) > 0.01:
-        if g[2] < travel_z - Z_TOL and float(np.hypot(*dxy)) < footprint_radius(ent) + grip_r + 0.05:
+        if (g[2] < travel_z - Z_TOL
+                and float(np.hypot(*dxy)) < footprint_radius(ent) + GRIPPER_RADIUS + 0.05):
             return _clamp_to_action(np.array([0.0, 0.0, travel_z - g[2]]), -1.0)
         return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), -1.0)
     if g[2] > push_z + Z_TOL:

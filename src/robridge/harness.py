@@ -110,13 +110,23 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"config references unknown suite {s!r}")
     seeds = _section(doc, "seeds")
 
-    er = doc.get("expert_randomization")
+    # absent: the default randomization; null: none
+    er = doc.get("expert_randomization", {})
+    expert_rand = None
+    if isinstance(er, dict):
+        try:
+            expert_rand = ExpertRandomization(**{
+                k: _number(f"expert_randomization.{k}", v, float, lowest=0)
+                for k, v in er.items()})
+        except TypeError as e:
+            raise ConfigError(f"expert_randomization: {e}") from None
+        # scaled object dimensions must stay positive
+        if expert_rand.dims_frac >= 1:
+            raise ConfigError("expert_randomization.dims_frac must be < 1, "
+                              f"got {expert_rand.dims_frac}")
+    elif er is not None:
+        raise ConfigError(f"expert_randomization must be an object or null, got {er!r}")
     aug = doc.get("augment")
-    try:
-        expert_rand = ExpertRandomization(**er) if isinstance(er, dict) else (
-            ExpertRandomization() if er is None and "expert_randomization" not in doc else None)
-    except TypeError as e:
-        raise ConfigError(f"expert_randomization: {e}") from None
     try:
         augment = AugmentConfig(**aug) if isinstance(aug, dict) else None
         if augment is not None:

@@ -209,17 +209,19 @@ def _morph(mask: np.ndarray, noise: GroundingNoise, rng) -> np.ndarray:
     return mask
 
 
-def ground(action: PrimitiveAction, frame: Frame, table: dict[str, int],
-           noise: GroundingNoise | None = None,
-           shapes: dict[int, str] | None = None) -> Grounding:
-    """Oracle grounding: resolve names through the scene symbol table and
-    read exact masks from the instance map; noise can flip the selection
-    to a same-shape distractor or distort the masks."""
+def ground(action: PrimitiveAction, frame: Frame, world: WorldState,
+           noise: GroundingNoise | None = None) -> Grounding:
+    """Oracle grounding: resolve names through the world's symbol table and
+    read exact masks from ``frame``'s instance map; noise can flip the
+    selection to a distractor of the same kind (box, cylinder) or distort
+    the masks."""
+    table = world.symbol_table()
     obj_id = _resolve(action.obj, table)
     rng = rng_for(noise.seed, frame.tick, "ground") if noise else None
-    if noise and noise.flip_p > 0.0 and shapes and rng.random() < noise.flip_p:
-        same = [i for n, i in sorted(table.items())
-                if i != obj_id and shapes.get(i) == shapes.get(obj_id)]
+    if noise and noise.flip_p > 0.0 and rng.random() < noise.flip_p:
+        kind = world.entity(obj_id).kind
+        same = [i for _, i in sorted(table.items())
+                if i != obj_id and world.entity(i).kind == kind]
         if same:
             obj_id = same[int(rng.integers(len(same)))]
     obj_mask = frame.instance3 == obj_id

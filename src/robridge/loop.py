@@ -4,14 +4,14 @@ An ``Episode`` owns one episode's state. Per tick, ``observe()`` refreshes
 the tracker's association and runs the status check every K ticks;
 ``advance(action)`` clips the action, steps the world, lets a fault act,
 records the tick, advances the stages and renders. Success advances the
-plan cursor; Wrong regenerates the observation (re-ground, rebuild,
-fast-forward past satisfied primitives, replan if grounding is gone) and
-consumes a retry. The tick's observation tensor (masks, depth crops,
-``to_tensor``) is built on the first read of ``Episode.tensor`` in that
-tick: by a learned policy, by recording or by keeping visited states. The
-scripted expert and the waypoint follower never read it. ``run_episode`` drives an
-Episode: the waypoint follower acts on reach ticks, the policy on all
-others.
+plan cursor; Wrong consumes a retry and regenerates the observation: the
+cursor fast-forwards past primitives that already hold, and the primitive
+it lands on is grounded and built afresh. The plan itself is kept. The
+tick's observation tensor (masks, depth crops, ``to_tensor``) is built on
+the first read of ``Episode.tensor`` in that tick: by a learned policy, by
+recording or by keeping visited states. The scripted expert and the
+waypoint follower never read it. ``run_episode`` drives an Episode: the
+waypoint follower acts on reach ticks, the policy on all others.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class FaultConfig:
     """Transient grasp fault: after the gripper has held an object for
     hold_ticks consecutive ticks, the object is knocked loose and lands
     displacement meters away. The default fires once, mid-transport."""
-    kind: str = "grasp_drop"
     displacement: float = 0.06
     hold_ticks: int = 30
     fire_on_hold_event: int = 1    # fires from the k-th successful hold onward
@@ -94,8 +93,8 @@ class FaultConfig:
 
 HOLD_STAGE_TICKS = 5   # a "hold" stage needs this many consecutive held ticks
 
-# what starting a primitive or replanning can raise; each ends the episode as failed
-_PRIMITIVE_ERRORS = (PlanningError, GroundingError, BuildError, ConstraintError, MotionPlanError)
+# what starting a primitive can raise; each ends the episode as failed
+_PRIMITIVE_ERRORS = (GroundingError, BuildError, ConstraintError, MotionPlanError)
 
 
 @dataclass
@@ -132,8 +131,6 @@ class EpisodeResult:
     recorded_steps: list = field(default_factory=list)
     visited: list = field(default_factory=list)
     stages_completed: int = 0
-    track_calls: int = 0
-    status_calls: int = 0
     final_digest: str = ""
 
 
@@ -251,10 +248,8 @@ class Episode:
         cfg, res = self.cfg, self.result
         self.tracker = track_update(self.tracker, self.frame)
         self._obs = self._tensor = None
-        res.track_calls += 1
         if (self.world.tick + 1) % cfg.status_period == 0:
             plan, world = self.plan, self.world
-            res.status_calls += 1
             verdict = hcp.check_status(plan.current, self.frame, world, self.deadline,
                                        lost=bool(self.tracker.lost_channels()),
                                        noise=cfg.status_noise)
@@ -341,12 +336,9 @@ class Episode:
         """Ground the current primitive, build its observation bundle and
         start its clock."""
         action, world, frame = self.plan.current, self.world, self.frame
-        grounding = hcp.ground(action, frame, world.symbol_table(), self.cfg.grounding_noise,
-                               {e.id: e.kind for e in world.entities})
-        direction = None
-        if action.type in ("open", "close", "pull", "turn", "push"):
-            direction = hcp.direction_constraint(action, world)
-        self._obs = self.built = build(action, frame, grounding, direction)
+        grounding = hcp.ground(action, frame, world, self.cfg.grounding_noise)
+        self._obs = self.built = build(action, frame, grounding,
+                                       hcp.direction_constraint(action, world))
         self.tracker = init_tracker(self.built, frame)
         self.follower = None
         if action.type == "reach":
@@ -356,18 +348,13 @@ class Episode:
         self.deadline = world.tick + self.cfg.primitive_timeout
 
     def _recover(self) -> None:
-        """Wrong verdict: regenerate the observation; replan if grounding is gone."""
-        world, frame, cfg = self.world, self.frame, self.cfg
+        """Wrong verdict: regenerate the observation. The cursor skips the
+        primitives that already hold (staying on the last one if all do)
+        and that primitive starts afresh. The plan is kept, since the
+        scene's entities and their names are fixed for the episode."""
+        plan = self.plan
+        plan.cursor = min(_fast_forward(plan, self.world), len(plan.actions) - 1)
         try:
-            try:
-                hcp.ground(self.plan.current, frame, world.symbol_table(), cfg.grounding_noise,
-                           {e.id: e.kind for e in world.entities})
-            except GroundingError:
-                self.plan = hcp.plan(self.instruction, frame, cfg.external_planner,
-                                     sorted(world.symbol_table()))
-            self.plan.cursor = _fast_forward(self.plan, world)
-            if self.plan.done:
-                self.plan.cursor = len(self.plan.actions) - 1
             self._begin_primitive()
         except _PRIMITIVE_ERRORS as e:
             self._end("failed", f"regeneration: {e}")

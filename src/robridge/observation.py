@@ -42,8 +42,6 @@ WORKSPACE_Z = 0.32
 
 TENSOR_BYTES = (GRID_CHANNELS * GRID * GRID + VEC_DIM) * 4
 
-CHANNEL_NAMES = ("gripper", "object", "destination")
-
 
 class BuildError(ValueError):
     """Observation cannot be assembled (e.g. empty object mask)."""
@@ -67,31 +65,20 @@ class ChannelTrack:
     component: int = 0                 # label of the matched component; 0 for none
 
 
-# the gripper channel is read from the robot's own body, never associated
-_GRIPPER_TRACK = ChannelTrack(None)
-
-
 @dataclass
 class TrackerState:
-    tracks3: list[ChannelTrack]
-    tracks1: list[ChannelTrack]
+    # (third view, first view) tracks of the object, then of the destination
+    # if the primitive has one; the gripper channel is read from the robot's
+    # own body, so it is never tracked and never lost
+    tracks: list[tuple[ChannelTrack, ChannelTrack]]
     prev_gripper_xy: np.ndarray
-    has_destination: bool
     # the component labelling of the last update's frame; None after init
     labels3: np.ndarray | None = None
     labels1: np.ndarray | None = None
 
     def lost_channels(self) -> list[str]:
-        # the gripper channel is proprioceptive and never counts as lost
-        out = []
-        for name, t3, t1 in zip(CHANNEL_NAMES, self.tracks3, self.tracks1):
-            if name == "gripper":
-                continue
-            if name == "destination" and not self.has_destination:
-                continue
-            if t3.lost or t1.lost:
-                out.append(name)
-        return out
+        return [name for name, (t3, t1) in zip(("object", "destination"), self.tracks)
+                if t3.lost or t1.lost]
 
 
 @dataclass
@@ -169,12 +156,10 @@ def build(action: PrimitiveAction, frame: Frame, grounding: Grounding,
 
 
 def init_tracker(obs: Observation, frame: Frame) -> TrackerState:
-    tracks3, tracks1 = [_GRIPPER_TRACK], [_GRIPPER_TRACK]
-    for c in (1, 2):
-        tracks3.append(ChannelTrack(_centroid(obs.masks3[c])))
-        tracks1.append(ChannelTrack(_centroid(obs.depths1[c] > 0.0)))
-    return TrackerState(tracks3, tracks1, frame.gripper.pose[:2].copy(),
-                        obs.has_destination)
+    channels = (1, 2) if obs.has_destination else (1,)
+    tracks = [(ChannelTrack(_centroid(obs.masks3[c])),
+               ChannelTrack(_centroid(obs.depths1[c] > 0.0))) for c in channels]
+    return TrackerState(tracks, frame.gripper.pose[:2].copy())
 
 
 def _associate(track: ChannelTrack, n: int, centroids: np.ndarray,
@@ -221,8 +206,8 @@ def _components(foreground: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
 def track_update(tracker: TrackerState, frame: Frame) -> TrackerState:
     """High-frequency refresh of the association.
 
-    Object and destination channels re-associate to the nearest foreground
-    component and keep its label; a channel with no component within the
+    Each tracked channel re-associates to the nearest foreground
+    component and keeps its label; a channel with no component within the
     gate is lost. Only centroids, lost flags and the labelling are made
     here: the masks are left to ``tracked_observation``.
     """
@@ -234,17 +219,9 @@ def track_update(tracker: TrackerState, frame: Frame) -> TrackerState:
     shift1 = np.array([-delta[1], -delta[0]])
     labels1, n1, cents1 = _components(frame.instance1 != 0)
 
-    tracks3, tracks1 = [_GRIPPER_TRACK], [_GRIPPER_TRACK]
-    for c, name in enumerate(CHANNEL_NAMES[1:], start=1):
-        if name == "destination" and not tracker.has_destination:
-            # tracks are never written after construction: reuse them
-            tracks3.append(tracker.tracks3[c])
-            tracks1.append(tracker.tracks1[c])
-        else:
-            tracks3.append(_associate(tracker.tracks3[c], n3, cents3, zero_shift))
-            tracks1.append(_associate(tracker.tracks1[c], n1, cents1, shift1))
-    return TrackerState(tracks3, tracks1, frame.gripper.pose[:2].copy(),
-                        tracker.has_destination, labels3, labels1)
+    tracks = [(_associate(t3, n3, cents3, zero_shift), _associate(t1, n1, cents1, shift1))
+              for t3, t1 in tracker.tracks]
+    return TrackerState(tracks, frame.gripper.pose[:2].copy(), labels3, labels1)
 
 
 def _component_mask(labels: np.ndarray, track: ChannelTrack) -> np.ndarray:
@@ -261,21 +238,16 @@ def tracked_observation(tracker: TrackerState, obs: Observation, frame: Frame) -
     Each associated channel's mask is its component in the frame's
     labelling, and a lost channel's is empty. The gripper channel refreshes
     from the robot's own body (proprioception plus calibration, not scene
-    appearance). A destination-less channel is carried over from ``obs``.
-    The constraint block follows the live gripper state.
+    appearance). An untracked destination channel stays empty, as ``build``
+    leaves it. The constraint block follows the live gripper state.
     """
-    masks3 = np.empty_like(obs.masks3)
-    depths1 = np.empty_like(obs.depths1)
+    masks3 = np.zeros_like(obs.masks3)
+    depths1 = np.zeros_like(obs.depths1)
     masks3[0] = frame.instance3 == GRIPPER_ID
     np.multiply(frame.depth1, frame.instance1 == GRIPPER_ID, out=depths1[0])
-    for c in (1, 2):
-        if c == 2 and not tracker.has_destination:
-            masks3[c] = obs.masks3[c]
-            depths1[c] = obs.depths1[c]
-            continue
-        masks3[c] = _component_mask(tracker.labels3, tracker.tracks3[c])
-        np.multiply(frame.depth1, _component_mask(tracker.labels1, tracker.tracks1[c]),
-                    out=depths1[c])
+    for c, (t3, t1) in enumerate(tracker.tracks, start=1):
+        masks3[c] = _component_mask(tracker.labels3, t3)
+        np.multiply(frame.depth1, _component_mask(tracker.labels1, t1), out=depths1[c])
     return Observation(
         action_onehot=obs.action_onehot.copy(), masks3=masks3, depths1=depths1,
         ee_pose=frame.gripper.pose.copy(),

@@ -43,6 +43,7 @@ INTERPEN_TOL = 1e-3        # allowed footprint interpenetration for solids
 PLACEMENT_MARGIN = 0.01    # sampling keeps this gap between footprints
 
 GRIPPER_FOOT = 0.024       # square footprint side
+GRIPPER_RADIUS = GRIPPER_FOOT * math.sqrt(2.0) / 2.0   # the footprint's half-diagonal
 GRIPPER_HEIGHT = 0.05
 GRIPPER_COLOR = (0.16, 0.16, 0.20)
 
@@ -251,10 +252,10 @@ def handle_point(e: Entity) -> np.ndarray:
     return np.array([p[0] + c * hx - s * hy, p[1] + s * hx + c * hy, p[2] + hz])
 
 
-def _footprints_overlap(a: Entity, b: Entity, margin: float = 0.0) -> bool:
+def _footprints_overlap(a: Entity, b: Entity) -> bool:
     pa, pb = effective_pose(a), effective_pose(b)
     d = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-    return d < footprint_radius(a) + footprint_radius(b) + margin
+    return d < footprint_radius(a) + footprint_radius(b) + PLACEMENT_MARGIN
 
 
 def _z_overlap(a: Entity, b: Entity) -> float:
@@ -348,7 +349,7 @@ def _placement_blocked(ent: Entity, placed: list[Entity], ws: np.ndarray) -> boo
     for other in placed:
         if not other.solid:
             continue
-        if _z_overlap(ent, other) > INTERPEN_TOL and _footprints_overlap(ent, other, PLACEMENT_MARGIN):
+        if _z_overlap(ent, other) > INTERPEN_TOL and _footprints_overlap(ent, other):
             return True
     return False
 
@@ -389,7 +390,6 @@ def _articulation_step(world: WorldState, old_pos: np.ndarray, new_pos: np.ndarr
 
 def _resolve_push(world: WorldState, move_dir: np.ndarray) -> None:
     g = world.gripper
-    gr = GRIPPER_FOOT * math.sqrt(2.0) / 2.0
     gz_lo, gz_hi = g.pose[2], g.pose[2] + GRIPPER_HEIGHT
     move_mag = float(np.hypot(move_dir[0], move_dir[1]))
     pushed: list[Entity] = []
@@ -401,7 +401,7 @@ def _resolve_push(world: WorldState, move_dir: np.ndarray) -> None:
             continue
         dvec = p[:2] - g.pose[:2]
         dist = float(np.hypot(dvec[0], dvec[1]))
-        overlap = gr + footprint_radius(e) - dist
+        overlap = GRIPPER_RADIUS + footprint_radius(e) - dist
         if overlap <= 0:
             continue
         if move_mag > 1e-9:

@@ -1,8 +1,9 @@
 import hashlib
 import json
 import logging
+import math
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +77,12 @@ def test_config_unknown_suite(tmp_path):
     ({"expert_randomization": {"tilt": 1}}, "expert_randomization"),
     ({"augment": {"warp_mag": "big"}}, "warp_mag"),
     ({"augment": {"stage": "gea"}}, "stage"),
+    ({"expert_randomization": {"dims_frac": "x"}}, "expert_randomization.dims_frac"),
+    ({"expert_randomization": {"dims_frac": 1.0}}, "expert_randomization.dims_frac"),
+    ({"expert_randomization": {"camera_px": -1}}, "expert_randomization.camera_px"),
+    ({"expert_randomization": {"base_offset": None}}, "expert_randomization.base_offset"),
+    ({"expert_randomization": 5}, "expert_randomization"),
+    ({"expert_randomization": True}, "expert_randomization"),
 ])
 def test_config_bad_numbers_name_the_field(over, field):
     with pytest.raises(ConfigError, match=field):
@@ -88,6 +95,70 @@ def test_config_number_fields_cast():
     assert (cfg.episodes_per_cell, cfg.dagger_sample_budget) == (3, 500)
     assert type(cfg.episodes_per_cell) is int
     assert config_from_dict({"tasks": ["press-button"]}).dagger_sample_budget is None
+
+
+VALID_CONFIG = {
+    "tasks": ["press-button"],
+    "seeds": {"base": 0, "episodes": 2},
+    "demos_per_task": 2,
+    "expert_randomization": {"dims_frac": 0.2, "base_offset": 0.05, "camera_deg": 10.0,
+                             "camera_px": 10.0},
+    "gea": {"batch_size": 8, "epochs": 2, "lr": 1e-3},
+    "dagger": {"n_eval": 2, "iterations": 2, "sample_budget": 100},
+    "loop": {"status_period": 25, "retry_budget": 2, "max_ticks": 300,
+             "primitive_timeout": 200},
+}
+# where one mutation can land: a whole section or top-level value, or one field
+CONFIG_PATHS = [(k,) for k in VALID_CONFIG if k != "tasks"] + [
+    (k, f) for k, v in VALID_CONFIG.items() if isinstance(v, dict) for f in v]
+
+json_scalars = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.integers(-10**6, -1), st.floats(-1e6, -1e-6),
+    st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+    st.integers(0, 10**6), st.floats(0.0, 1e6))
+json_values = st.recursive(
+    json_scalars, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                          st.dictionaries(st.text(max_size=4), inner,
+                                                          max_size=3)),
+    max_leaves=4)
+
+
+def _assert_declared_ranges(cfg):
+    """Every numeric field of a parsed config has its declared type and range."""
+    lowest = [(cfg, "seed_base", None), (cfg, "episodes_per_cell", 1),
+              (cfg, "demos_per_task", 1), (cfg, "batch_size", 1), (cfg, "train_epochs", 1),
+              (cfg, "dagger_n_eval", 1), (cfg, "dagger_iterations", 1),
+              (cfg.loop, "status_period", 1), (cfg.loop, "retry_budget", 0),
+              (cfg.loop, "max_ticks", 1), (cfg.loop, "primitive_timeout", 1)]
+    for obj, name, low in lowest:
+        v = getattr(obj, name)
+        assert type(v) is int and (low is None or v >= low), (name, v)
+    budget = cfg.dagger_sample_budget
+    assert budget is None or (type(budget) is int and budget >= 1), budget
+    assert type(cfg.train_lr) is float and math.isfinite(cfg.train_lr) and cfg.train_lr >= 0
+    er = cfg.expert_randomization
+    if er is not None:
+        for f in fields(er):
+            v = getattr(er, f.name)
+            assert type(v) is float and math.isfinite(v) and v >= 0, (f.name, v)
+        assert er.dims_frac < 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=json_values)
+def test_config_one_mutated_field_is_refused_or_in_range(path, value):
+    doc = json.loads(json.dumps(VALID_CONFIG))
+    *parents, leaf = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[leaf] = value
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    _assert_declared_ranges(cfg)
 
 
 def test_config_schema_version(tmp_path):
@@ -398,10 +469,15 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
                          "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
-    for command in (["collect"], ["eval", "--checkpoint", "expert"]):
-        assert cli_main([*command, "--config", str(cfg_path), "--suite", "bogus",
-                         "--out", str(tmp_path / "x")]) == 2
-        assert "unknown suite 'bogus'" in capsys.readouterr().err
+    assert cli_main(["eval", "--checkpoint", "expert", "--config", str(cfg_path),
+                     "--suite", "bogus", "--out", str(tmp_path / "x")]) == 2
+    assert "unknown suite 'bogus'" in capsys.readouterr().err
+    # collection and DAgger always run the nominal suite, so they refuse --suite
+    for command in ("collect", "dagger"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(cfg_path), "--suite", "unseen_camera",
+                      "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
     assert cli_main(["collect", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / "manifest.json").exists()
     # ROBRIDGE_OUT fallback

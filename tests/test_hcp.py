@@ -81,7 +81,7 @@ def test_primitive_action_validation():
 
 
 def test_ground_oracle_exact_mask(world, frame):
-    g = hcp.ground(PrimitiveAction("grasp", "cube"), frame, world.symbol_table())
+    g = hcp.ground(PrimitiveAction("grasp", "cube"), frame, world)
     assert g.obj_id == world.find("cube").id
     assert np.array_equal(g.obj_mask3, frame.instance3 == g.obj_id)
     assert g.confidence == 1.0
@@ -89,14 +89,12 @@ def test_ground_oracle_exact_mask(world, frame):
 
 def test_ground_unknown_name(world, frame):
     with pytest.raises(GroundingError):
-        hcp.ground(PrimitiveAction("reach", "blue pyramid"), frame, world.symbol_table())
+        hcp.ground(PrimitiveAction("reach", "blue pyramid"), frame, world)
 
 
 def test_ground_forced_flip_to_distractor(world, frame):
-    shapes = {e.id: e.kind for e in world.entities}
     noise = GroundingNoise(flip_p=1.0, seed=4)
-    g = hcp.ground(PrimitiveAction("grasp", "cube"), frame, world.symbol_table(),
-                   noise, shapes)
+    g = hcp.ground(PrimitiveAction("grasp", "cube"), frame, world, noise)
     # the only other box entity is the drawer
     assert g.obj_id == world.find("drawer").id
 

@@ -22,11 +22,8 @@ def first_tensor(task_id, suite, seed, cam3=None):
     frame = render(world, cam3, cams[1])
     plan = hcp.plan(instruction, frame)
     action = plan.actions[min(1, len(plan.actions) - 1)]   # first interaction primitive
-    g = hcp.ground(action, frame, world.symbol_table())
-    d = None
-    if action.type in ("open", "close", "pull", "turn", "push"):
-        d = hcp.direction_constraint(action, world)
-    return to_tensor(build(action, frame, g, d), frame)
+    g = hcp.ground(action, frame, world)
+    return to_tensor(build(action, frame, g, hcp.direction_constraint(action, world)), frame)
 
 
 def test_first_tensors_of_every_task_and_suite_golden():

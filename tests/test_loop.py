@@ -7,7 +7,8 @@ import pytest
 
 import robridge.loop as looplib
 from conftest import states_equal
-from robridge.hcp import StatusNoise
+from robridge import hcp
+from robridge.hcp import GroundingNoise, StatusNoise
 from robridge.loop import (
     Episode,
     ExpertAsPolicy,
@@ -40,13 +41,14 @@ def test_net_policy_zero_params_acts_like_zero():
     assert not res.success
 
 
-def test_frequency_contract():
-    cfg = LoopConfig(status_period=25)
-    res = run_episode("press-button", ExpertAsPolicy(), cfg, seed=5)
+def test_frequency_contract(monkeypatch):
+    tracked = _calls(monkeypatch, "track_update")
+    checked = _calls(monkeypatch, "check_status", hcp)
+    res = run_episode("press-button", ExpertAsPolicy(), LoopConfig(status_period=25), seed=5)
     # the terminating check happens after the render but before a step, so
     # a check-terminated episode ends at tick 25k - 1
-    assert res.track_calls == res.ticks + 1
-    assert res.status_calls == (res.ticks + 1) // 25
+    assert [frame.tick for _, frame in tracked] == list(range(res.ticks + 1))
+    assert len(checked) == len(res.status_events) == (res.ticks + 1) // 25
     for ev in res.status_events:
         assert ev["tick"] % 25 == 24
 
@@ -266,14 +268,15 @@ def test_visited_worlds_stay_as_they_were_stored():
         assert np.array_equal(snap.held_offset, v.world.held_offset)
 
 
-def _calls(monkeypatch, name):
-    """Arguments of every call the loop makes through ``loop.<name>``."""
-    calls, real = [], getattr(looplib, name)
+def _calls(monkeypatch, name, module=looplib):
+    """Positional arguments of every call the loop makes through
+    ``module.<name>``."""
+    calls, real = [], getattr(module, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(looplib, name, recorded)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -328,3 +331,29 @@ def test_recording_or_keeping_builds_one_tensor_per_tick(monkeypatch, over, net)
     res = run_episode("pick-place", policy, LoopConfig(max_ticks=120, **over), seed=3)
     assert [frame.tick for _, frame in built] == list(range(res.ticks))
     assert len(res.recorded_steps or res.visited) == res.ticks
+
+
+@pytest.mark.parametrize("task,policy,over,seed", [
+    ("pick-place", ExpertAsPolicy(), {"fault": FaultConfig()}, 11),
+    ("pick-place", ExpertAsPolicy(),
+     {"status_noise": StatusNoise(rate=0.3, seed=1), "status_period": 5, "retry_budget": 50}, 3),
+    ("sweep-into", ExpertAsPolicy(),
+     {"grounding_noise": GroundingNoise(flip_p=0.5, dilate_px=2, erode_px=1, seed=4),
+      "status_noise": StatusNoise(rate=0.3, seed=2), "status_period": 10,
+      "retry_budget": 50}, 0),
+    ("open-drawer", ZeroPolicy(), {"primitive_timeout": 40, "max_ticks": 300,
+                                   "retry_budget": 50}, 1),
+])
+def test_recovery_keeps_the_plan_and_grounds_once_per_start(monkeypatch, task, policy, over,
+                                                            seed):
+    plans = _calls(monkeypatch, "plan", hcp)
+    grounds = _calls(monkeypatch, "ground", hcp)
+    res = run_episode(task, policy, LoopConfig(**over), seed=seed)
+    wrongs = sum(e["verdict"] == "wrong" for e in res.status_events)
+    recoveries = wrongs - ("retries exhausted" in res.reason)
+    assert recoveries > 0
+    assert len(plans) == 1
+    # a primitive starts at setup, after each success that leaves the plan
+    # unfinished and at each recovery; each start grounds exactly once
+    successes = len(res.primitive_log) - (res.outcome == "done")
+    assert len(grounds) == 1 + successes + recoveries

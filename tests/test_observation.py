@@ -28,12 +28,8 @@ from robridge.world import GRIPPER_ID, first_camera, step, third_camera
 
 
 def grounded_obs(world, frame, action, noise=None):
-    g = hcp.ground(action, frame, world.symbol_table(), noise,
-                   {e.id: e.kind for e in world.entities})
-    d = None
-    if action.type in ("open", "close", "pull", "turn", "push"):
-        d = hcp.direction_constraint(action, world)
-    return build(action, frame, g, d)
+    g = hcp.ground(action, frame, world, noise)
+    return build(action, frame, g, hcp.direction_constraint(action, world))
 
 
 def test_build_no_destination_channels_zero(world, frame):
@@ -83,14 +79,18 @@ def test_masked_depth_zero_off_mask(world, frame):
 
 
 def test_tracker_static_scene_identity(world, frame):
-    obs = grounded_obs(world, frame, PrimitiveAction("grasp", "cube"))
-    tr = init_tracker(obs, frame)
     w2 = step(world, np.zeros(4))
     f2 = render(w2, third_camera(), first_camera())
-    tr2 = track_update(tr, f2)
-    obs2 = tracked_observation(tr2, obs, f2)
-    assert np.array_equal(obs2.masks3[1], obs.masks3[1])
-    assert not tr2.tracks3[1].lost
+    for action in (PrimitiveAction("grasp", "cube"), PrimitiveAction("push", "cube", "slot")):
+        obs = grounded_obs(world, frame, action)
+        tr2 = track_update(init_tracker(obs, frame), f2)
+        obs2 = tracked_observation(tr2, obs, f2)
+        # only the channels the primitive has are tracked; an untracked
+        # destination stays as build left it, bit for bit
+        assert len(tr2.tracks) == (2 if action.des else 1)
+        assert not any(t3.lost for t3, _ in tr2.tracks)
+        assert obs2.masks3.tobytes() == obs.masks3.tobytes()
+        assert obs2.depths1.tobytes() == obs.depths1.tobytes()
 
 
 def test_tracker_follows_small_motion(world, cams):
@@ -116,7 +116,7 @@ def test_tracker_losing_and_recovering_object(world, cams):
     f2 = render(w2, *cams)
     tr2 = track_update(tr, f2)
     obs2 = tracked_observation(tr2, obs, f2)
-    assert tr2.tracks3[1].lost
+    assert tr2.tracks[0][0].lost
     assert not obs2.masks3[1].any()
     assert "object" in tr2.lost_channels()
 
@@ -191,7 +191,6 @@ def test_gripper_channel_refreshes_from_proprioception(world, cams):
         tr = track_update(tr, f)
         tracked = tracked_observation(tr, obs, f)
         assert np.array_equal(tracked.masks3[0], f.instance3 == GRIPPER_ID)
-        assert not tr.tracks3[0].lost
 
 
 def foreground_images():
