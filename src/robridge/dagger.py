@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .experts import ExpertError, Trajectory, TrajectoryStep, expert_action
+from .experts import ExpertError, Trajectory, expert_action, pack_steps
 from .experts import load_trajectory, save_trajectory
 from .policy import Dataset, PolicyParams
 from .policy import train as train_policy
@@ -142,28 +142,29 @@ def dataset_from_stores(stores: dict[str, DemoStore]) -> Dataset:
 
 def _default_rollout(task_id: str, seed: int, policy_params: PolicyParams,
                      config: ExperimentConfig):
-    """Closed-loop evaluation returning (reward, failed, visited states)."""
+    """Closed-loop evaluation returning (reward, failed, kept ticks)."""
     from .loop import NetPolicy, run_episode
     result = run_episode(task_id, NetPolicy(policy_params),
-                         replace(config.loop, keep_visited=True), seed=seed)
-    return result.reward, not result.success, result.visited
+                         replace(config.loop, keep_ticks=True), seed=seed)
+    return result.reward, not result.success, result.kept
 
 
 def _default_relabel(task_id: str, visited) -> Trajectory | None:
-    """Ask the expert for the correct action at every state the learner visited."""
+    """Ask the expert for the correct action at every tick the learner
+    visited; the relabeled ticks carry reward 0."""
     from .hcp import ConstraintError
-    steps = []
+    relabeled = []
     for v in visited[:RELABEL_MAX_STEPS]:
         try:
             a = expert_action(v.primitive, v.world)
         except (ExpertError, ConstraintError, KeyError) as e:
             log.warning("relabel skipped for %s: %s", task_id, e)
             return None
-        steps.append(TrajectoryStep(v.tensor.to_bytes(), np.asarray(a, dtype=np.float32), 0.0))
-    if not steps:
+        relabeled.append(replace(v, action=a, reward=0.0))
+    if not relabeled:
         return None
-    return Trajectory(task_id=task_id, seed=-1, steps=steps, success=False,
-                      final_tick=len(steps))
+    return Trajectory(task_id=task_id, seed=-1, steps=pack_steps(relabeled), success=False,
+                      final_tick=len(relabeled))
 
 
 def _train_on_union(policy_params: PolicyParams, state: DaggerState,

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hcp import ConstraintError, PrimitiveAction, approach_pose, direction_constraint
+from .observation import GRID, GRID_CHANNELS, VEC_DIM
 from .tasks import ExpertRandomization, TaskSpec, load_catalog
 from .util import SCHEMA_VERSION, check_schema_version
 from .world import (
@@ -236,6 +236,17 @@ def _engaged(world: WorldState, ent) -> bool:
             and world.gripper.aperture < 0.5)
 
 
+def _approach_handle(hp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Before engaging a handle at hp: centre over it open, descend onto it,
+    then close."""
+    dxy = np.array([hp[0] - g[0], hp[1] - g[1]])
+    if float(np.hypot(*dxy)) > XY_TOL:
+        return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), 1.0)
+    if g[2] > hp[2] + Z_TOL:
+        return _clamp_to_action(np.array([dxy[0], dxy[1], hp[2] - g[2]]), 1.0)
+    return _clamp_to_action(np.zeros(3), -1.0)
+
+
 def _slide_rule(world: WorldState, primitive, ent) -> np.ndarray:
     art = ent.articulation
     if art is None:
@@ -247,12 +258,7 @@ def _slide_rule(world: WorldState, primitive, ent) -> np.ndarray:
     hp = handle_point(ent)
     g = world.gripper.pose[:3]
     if not _engaged(world, ent):
-        dxy = np.array([hp[0] - g[0], hp[1] - g[1]])
-        if float(np.hypot(*dxy)) > XY_TOL:
-            return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), 1.0)
-        if g[2] > hp[2] + Z_TOL:
-            return _clamp_to_action(np.array([dxy[0], dxy[1], hp[2] - g[2]]), 1.0)
-        return _clamp_to_action(np.zeros(3), -1.0)
+        return _approach_handle(hp, g)
     remaining = abs(end - art.coordinate)
     step = min(MAX_STEP_M, remaining)
     return _clamp_to_action(hp + d * step - g, -1.0)
@@ -267,12 +273,7 @@ def _turn_rule(world: WorldState, primitive, ent) -> np.ndarray:
     hp = handle_point(ent)
     g = world.gripper.pose[:3]
     if not _engaged(world, ent):
-        dxy = np.array([hp[0] - g[0], hp[1] - g[1]])
-        if float(np.hypot(*dxy)) > XY_TOL:
-            return _clamp_to_action(np.array([dxy[0], dxy[1], 0.0]), 1.0)
-        if g[2] > hp[2] + Z_TOL:
-            return _clamp_to_action(np.array([dxy[0], dxy[1], hp[2] - g[2]]), 1.0)
-        return _clamp_to_action(np.zeros(3), -1.0)
+        return _approach_handle(hp, g)
     center = effective_pose(ent)[:2]
     step = min(TURN_STEP_RAD, art.hi - art.coordinate + 0.02)
     c, s = math.cos(step), math.sin(step)
@@ -310,24 +311,36 @@ def _push_rule(world: WorldState, primitive, ent) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # trajectories
 
-@dataclass
-class TrajectoryStep:
-    tensor_bytes: bytes
-    action: np.ndarray           # (4,) float32
-    reward: float
+# One stored tick, little-endian: a size field counting the bytes after it,
+# the observation tensor, the clipped action and the post-step reward.
+STEP_RECORD = np.dtype([("size", "<u4"), ("grid", "<f4", (GRID_CHANNELS, GRID, GRID)),
+                        ("vec", "<f4", (VEC_DIM,)), ("action", "<f4", (4,)),
+                        ("reward", "<f4")])
+STEP_SIZE = STEP_RECORD.itemsize - STEP_RECORD["size"].itemsize
+
+
+def pack_steps(ticks) -> np.ndarray:
+    """STEP_RECORD array of ticks (anything with .tensor, .action and
+    .reward), rounded to float32."""
+    steps = np.zeros(len(ticks), STEP_RECORD)
+    steps["size"] = STEP_SIZE
+    for rec, t in zip(steps, ticks):
+        rec["grid"], rec["vec"] = t.tensor.grid, t.tensor.vec
+        rec["action"], rec["reward"] = t.action, t.reward
+    return steps
 
 
 @dataclass
 class Trajectory:
     task_id: str
     seed: int
-    steps: list[TrajectoryStep] = field(default_factory=list)
+    steps: np.ndarray            # STEP_RECORD array
     success: bool = False
     final_tick: int = 0
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Length-prefixed binary records after a one-line JSON header."""
+    """The step records after a one-line JSON header."""
     header = {
         "schema_version": SCHEMA_VERSION,
         "task_id": traj.task_id,
@@ -338,29 +351,22 @@ def save_trajectory(traj: Trajectory, path) -> None:
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for s in traj.steps:
-            payload = (s.tensor_bytes
-                       + np.asarray(s.action, dtype="<f4").tobytes()
-                       + struct.pack("<f", s.reward))
-            f.write(struct.pack("<I", len(payload)))
-            f.write(payload)
+        f.write(traj.steps.tobytes())
 
 
 def load_trajectory(path) -> Trajectory:
-    from .observation import TENSOR_BYTES
+    """Read a trajectory file; a bad record count, a short body or a record
+    whose size field is not STEP_SIZE raises a ValueError naming the file."""
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         check_schema_version(header, f"trajectory {path}")
-        steps = []
-        for _ in range(header["steps"]):
-            (n,) = struct.unpack("<I", f.read(4))
-            payload = f.read(n)
-            if len(payload) != n:
-                raise ValueError(f"truncated trajectory record in {path}")
-            tensor_bytes = payload[:TENSOR_BYTES]
-            action = np.frombuffer(payload[TENSOR_BYTES:TENSOR_BYTES + 16], dtype="<f4").copy()
-            (reward,) = struct.unpack("<f", payload[TENSOR_BYTES + 16:TENSOR_BYTES + 20])
-            steps.append(TrajectoryStep(tensor_bytes, action, reward))
+        body = f.read()
+    n = header["steps"]
+    if n < 0 or len(body) < n * STEP_RECORD.itemsize:
+        raise ValueError(f"trajectory {path} declares {n} records in {len(body)} bytes")
+    steps = np.frombuffer(body, STEP_RECORD, count=n)
+    if (steps["size"] != STEP_SIZE).any():
+        raise ValueError(f"bad record size in trajectory {path}: expected {STEP_SIZE}")
     return Trajectory(task_id=header["task_id"], seed=header["seed"], steps=steps,
                       success=header["success"], final_tick=header["final_tick"])
 
@@ -373,8 +379,7 @@ def rollout_expert(task: TaskSpec | str, seed: int,
 
     if isinstance(task, str):
         task = load_catalog().task(task)
-    result = run_episode(task, ExpertAsPolicy(), LoopConfig(record=True),
+    result = run_episode(task, ExpertAsPolicy(), LoopConfig(keep_ticks=True),
                          seed=seed, expert_rand=randomization)
-    traj = Trajectory(task_id=task.id, seed=int(seed), steps=result.recorded_steps,
+    return Trajectory(task_id=task.id, seed=int(seed), steps=pack_steps(result.kept),
                       success=result.success, final_tick=result.ticks)
-    return traj

@@ -74,11 +74,26 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _section(doc: dict, name: str) -> dict:
-    value = doc.get(name, {})
+def _object(value, name: str, known: tuple[str, ...]) -> dict:
+    """A config object whose keys all lie in known; anything else is a
+    ConfigError naming the object or the key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object, got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{name} has unknown key {key!r}")
     return value
+
+
+def _names(doc: dict, name: str, default: list[str], known) -> list[str]:
+    """A list of names, each one in known."""
+    names = doc.get(name, default)
+    if not isinstance(names, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {names!r}")
+    for n in names:
+        if not isinstance(n, str) or n not in known:   # "tasks" lists tasks
+            raise ConfigError(f"config references unknown {name[:-1]} {n!r}")
+    return list(names)
 
 
 def _number(name: str, raw, kind=int, lowest=None):
@@ -97,18 +112,15 @@ def _number(name: str, raw, kind=int, lowest=None):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    _object(doc, "config", ("schema_version", "tasks", "suites", "seeds", "demos_per_task",
+                            "expert_randomization", "augment", "gea", "dagger", "loop",
+                            "out_dir"))
     cat = load_catalog()
-    tasks = doc.get("tasks", [])
+    tasks = _names(doc, "tasks", [], cat.tasks)
     if not tasks:
         raise ConfigError("config lists no tasks")
-    for tid in tasks:
-        if tid not in cat.tasks:
-            raise ConfigError(f"config references unknown task {tid!r}")
-    suites = doc.get("suites", ["nominal"])
-    for s in suites:
-        if s not in cat.suites:
-            raise ConfigError(f"config references unknown suite {s!r}")
-    seeds = _section(doc, "seeds")
+    suites = _names(doc, "suites", ["nominal"], cat.suites)
+    seeds = _object(doc.get("seeds", {}), "seeds", ("base", "episodes"))
 
     # absent: the default randomization; null: none
     er = doc.get("expert_randomization", {})
@@ -133,19 +145,23 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             augment.validate()
     except (TypeError, ValueError) as e:
         raise ConfigError(f"augment: {e}") from None
-    gea = _section(doc, "gea")
-    dag = _section(doc, "dagger")
-    f_doc = dag.get("f", {})
+    gea = _object(doc.get("gea", {}), "gea", ("batch_size", "epochs", "lr"))
+    dag = _object(doc.get("dagger", {}), "dagger", ("n_eval", "iterations", "f", "sample_budget"))
+    f_doc = _object(dag.get("f", {}), "dagger.f", ("thresholds", "values"))
+    for key, raw in f_doc.items():
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"dagger.f.{key} must be a list, got {raw!r}")
+        for v in raw:   # checked, not cast: an int stays an int in state.json
+            _number(f"dagger.f.{key}", v, float)
     try:
-        fmap = daggerlib.PiecewiseRewardMap(
-            thresholds=tuple(f_doc.get("thresholds", (0.3, 0.7))),
-            values=tuple(f_doc.get("values", (3.0, 2.0, 1.0))))
-    except (AttributeError, TypeError, ValueError) as e:
+        fmap = daggerlib.PiecewiseRewardMap(**{k: tuple(v) for k, v in f_doc.items()})
+    except ValueError as e:
         raise ConfigError(f"dagger.f: {e}") from None
     budget = dag.get("sample_budget")
-    loop_doc = _section(doc, "loop")
+    loop_doc = _object(doc.get("loop", {}), "loop",
+                       ("status_period", "retry_budget", "max_ticks", "primitive_timeout"))
     return ExperimentConfig(
-        tasks=list(tasks), suites=list(suites),
+        tasks=tasks, suites=suites,
         seed_base=_number("seeds.base", seeds.get("base", 0)),
         episodes_per_cell=_number("seeds.episodes", seeds.get("episodes", 10), lowest=1),
         demos_per_task=_number("demos_per_task", doc.get("demos_per_task", 4), lowest=1),

@@ -97,7 +97,6 @@ class Grounding:
     des_id: int | None
     obj_mask3: np.ndarray
     des_mask3: np.ndarray | None
-    confidence: float
 
 
 class Status(Enum):
@@ -234,9 +233,7 @@ def ground(action: PrimitiveAction, frame: Frame, world: WorldState,
         obj_mask = _morph(obj_mask, noise, rng)
         if des_mask is not None:
             des_mask = _morph(des_mask, noise, rng)
-    conf = 1.0 if obj_mask.any() and (des_mask is None or des_mask.any()) else 0.0
-    return Grounding(obj_id=obj_id, des_id=des_id, obj_mask3=obj_mask,
-                     des_mask3=des_mask, confidence=conf)
+    return Grounding(obj_id=obj_id, des_id=des_id, obj_mask3=obj_mask, des_mask3=des_mask)
 
 
 def direction_constraint(action: PrimitiveAction, world: WorldState) -> np.ndarray | None:

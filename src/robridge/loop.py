@@ -3,15 +3,15 @@
 An ``Episode`` owns one episode's state. Per tick, ``observe()`` refreshes
 the tracker's association and runs the status check every K ticks;
 ``advance(action)`` clips the action, steps the world, lets a fault act,
-records the tick, advances the stages and renders. Success advances the
-plan cursor; Wrong consumes a retry and regenerates the observation: the
-cursor fast-forwards past primitives that already hold, and the primitive
-it lands on is grounded and built afresh. The plan itself is kept. The
-tick's observation tensor (masks, depth crops, ``to_tensor``) is built on
-the first read of ``Episode.tensor`` in that tick: by a learned policy, by
-recording or by keeping visited states. The scripted expert and the
-waypoint follower never read it. ``run_episode`` drives an Episode: the
-waypoint follower acts on reach ticks, the policy on all others.
+keeps and logs the tick, advances the stages and renders. Success advances
+the plan cursor; Wrong consumes a retry and regenerates the observation:
+the cursor fast-forwards past primitives that already hold, and the
+primitive it lands on is grounded and built afresh. The plan itself is
+kept. The tick's observation tensor (masks, depth crops, ``to_tensor``) is
+built on the first read of ``Episode.tensor`` in that tick: by a learned
+policy or by keeping ticks (``LoopConfig.keep_ticks``). The scripted expert
+and the waypoint follower never read it. ``run_episode`` drives an Episode:
+the waypoint follower acts on reach ticks, the policy on all others.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from . import hcp, tasks as tasklib
 from .experts import (
     MotionPlanError,
-    TrajectoryStep,
     WaypointFollower,
     expert_action,
     motion_plan_reach,
@@ -103,8 +102,7 @@ class LoopConfig:
     retry_budget: int = 2
     max_ticks: int = 1000
     primitive_timeout: int = 200
-    record: bool = False
-    keep_visited: bool = False
+    keep_ticks: bool = False       # keep every tick in EpisodeResult.kept
     grounding_noise: GroundingNoise | None = None
     status_noise: StatusNoise | None = None
     fault: FaultConfig | None = None
@@ -112,11 +110,16 @@ class LoopConfig:
     log_path: str | None = None
 
 
-@dataclass
-class VisitedState:
+@dataclass(frozen=True)
+class KeptTick:
+    """One tick as training reads it: the observation tensor, the primitive
+    and the pre-step world it was acted in, the clipped action and the
+    reward after the step."""
     tensor: ObsTensor
     primitive: PrimitiveAction
     world: WorldState
+    action: np.ndarray             # (4,) float64
+    reward: float
 
 
 @dataclass
@@ -128,8 +131,7 @@ class EpisodeResult:
     reason: str = ""
     primitive_log: list = field(default_factory=list)
     status_events: list = field(default_factory=list)
-    recorded_steps: list = field(default_factory=list)
-    visited: list = field(default_factory=list)
+    kept: list[KeptTick] = field(default_factory=list)
     stages_completed: int = 0
     final_digest: str = ""
 
@@ -290,22 +292,18 @@ class Episode:
 
     def advance(self, action) -> None:
         """Clip and apply one action: step the world, let the fault act,
-        record the tick, advance the stages and render. Ends the episode
-        at max_ticks."""
+        keep and log the tick, advance the stages and render. Ends the
+        episode at max_ticks."""
         cfg, res, current = self.cfg, self.result, self.plan.current
         action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        # read before the step: the tensor is the pre-step frame's
-        tensor = self.tensor if cfg.record or cfg.keep_visited else None
-        if cfg.keep_visited:
-            # step returns a new world and the fault acts on that one, so
-            # this pre-step world is never written again
-            res.visited.append(VisitedState(tensor, current, self.world))
-        self.world = world = step(self.world, action)
+        prior = self.world
+        self.world = world = step(prior, action)
         fired = self._update_fault() if cfg.fault is not None else None
         r = tasklib.reward(self.task, world)
-        if cfg.record:
-            res.recorded_steps.append(TrajectoryStep(
-                tensor.to_bytes(), np.asarray(action, dtype=np.float32), r))
+        if cfg.keep_ticks:
+            # the tensor is still the pre-step frame's; step returned a new
+            # world and the fault acted on it, so prior is never written again
+            res.kept.append(KeptTick(self.tensor, current, prior, action, r))
         if cfg.log_path:
             rec = {
                 "tick": world.tick, "cursor": self.plan.cursor,

@@ -40,8 +40,6 @@ HEATMAP_SIGMA = 1.5        # grid cells
 WORKSPACE_XY = 0.64        # normalization extents (matches packaged scenes)
 WORKSPACE_Z = 0.32
 
-TENSOR_BYTES = (GRID_CHANNELS * GRID * GRID + VEC_DIM) * 4
-
 
 class BuildError(ValueError):
     """Observation cannot be assembled (e.g. empty object mask)."""
@@ -90,15 +88,6 @@ class ObsTensor:
         g = np.ascontiguousarray(self.grid, dtype="<f4")
         v = np.ascontiguousarray(self.vec, dtype="<f4")
         return g.tobytes() + v.tobytes()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "ObsTensor":
-        if len(raw) != TENSOR_BYTES:
-            raise ValueError(f"expected {TENSOR_BYTES} bytes, got {len(raw)}")
-        n = GRID_CHANNELS * GRID * GRID
-        flat = np.frombuffer(raw, dtype="<f4")
-        return cls(grid=flat[:n].reshape(GRID_CHANNELS, GRID, GRID).copy(),
-                   vec=flat[n:].copy())
 
 
 def _pixel_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -166,19 +166,10 @@ class Dataset:
         Reach ticks are waypoint-follower output and the policy never
         executes reach (the loop motion-plans it), so they are excluded.
         """
-        reach_idx = type_index("reach")
-        tensors, actions = [], []
-        for traj in trajectories:
-            for s in traj.steps:
-                t = ObsTensor.from_bytes(s.tensor_bytes)
-                if t.vec[reach_idx] > 0.5:
-                    continue
-                tensors.append(t)
-                actions.append(s.action)
-        grid = np.stack([t.grid for t in tensors]).astype(np.float32)
-        vec = np.stack([t.vec for t in tensors]).astype(np.float32)
-        act = np.stack([np.asarray(a, dtype=np.float32) for a in actions])
-        return cls(grid, vec, act)
+        steps = np.concatenate([traj.steps for traj in trajectories])
+        # not "<= 0.5": a NaN reach flag keeps its row
+        keep = ~(steps["vec"][:, type_index("reach")] > 0.5)
+        return cls(steps["grid"][keep], steps["vec"][keep], steps["action"][keep])
 
 
 def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: int,

@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from .hcp import HOVER
 from .scenes import SceneSpec, load_packaged_scene
 from .util import check_schema_version, rng_for
 from .world import (
@@ -31,7 +32,6 @@ from .world import (
 SUITE_NAMES = ("nominal", "unseen_background", "unseen_light", "unseen_color", "unseen_camera")
 
 DIST_NORM = 0.30        # workspace-scale distance normalizer for shaped rewards
-REACH_HOVER = 0.04      # approach height above a target's top surface
 REACH_TOL = 0.02        # task-level tolerance for reach-target
 
 
@@ -240,7 +240,7 @@ def is_success(task: TaskSpec, world: WorldState) -> bool:
     if task.family == "reach":
         target = world.find(task.obj)
         p = effective_pose(target)
-        goal = np.array([p[0], p[1], entity_top(target) + REACH_HOVER])
+        goal = np.array([p[0], p[1], entity_top(target) + HOVER])
         return bool(float(np.linalg.norm(world.gripper.pose[:3] - goal)) <= REACH_TOL)
     if task.family == "multi":
         return all(stage_satisfied(world, s) for s in task.stages if s[0] == "placed")
@@ -285,7 +285,7 @@ def reward(task: TaskSpec, world: WorldState) -> float:
     elif task.family == "reach":
         target = world.find(task.obj)
         p = effective_pose(target)
-        goal = np.array([p[0], p[1], entity_top(target) + REACH_HOVER])
+        goal = np.array([p[0], p[1], entity_top(target) + HOVER])
         d = float(np.linalg.norm(g.pose[:3] - goal))
         r = 1.0 - min(d / DIST_NORM, 1.0)
     elif task.family == "multi":

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robridge.experts import STEP_RECORD, STEP_SIZE
 from robridge.render import render
 from robridge.scenes import parse_scene
 from robridge.world import create_world, first_camera, third_camera
@@ -82,3 +83,10 @@ def states_equal(a, b) -> bool:
         if ea.articulation and ea.articulation.coordinate != eb.articulation.coordinate:
             return False
     return True
+
+
+def zero_steps(n):
+    """n all-zero trajectory records with a valid size field."""
+    steps = np.zeros(n, STEP_RECORD)
+    steps["size"] = STEP_SIZE
+    return steps

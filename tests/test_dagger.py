@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import zero_steps
 from robridge import dagger
 from robridge.dagger import (
     DemoStore,
@@ -11,16 +12,14 @@ from robridge.dagger import (
     iterate,
     sample_tasks,
 )
-from robridge.experts import Trajectory, TrajectoryStep
+from robridge.experts import Trajectory
 from robridge.harness import ExperimentConfig
-from robridge.observation import TENSOR_BYTES
 
 F = PiecewiseRewardMap()
 
 
 def stub_traj(task_id, steps=2, success=True):
-    step = TrajectoryStep(b"\0" * TENSOR_BYTES, np.zeros(4, np.float32), 0.0)
-    return Trajectory(task_id, 0, [step] * steps, success, steps)
+    return Trajectory(task_id, 0, zero_steps(steps), success, steps)
 
 
 def test_piecewise_map_validation():

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import gripper_to
+from conftest import gripper_to, zero_steps
+from robridge.dagger import DemoStore
 from robridge.experts import (
+    STEP_RECORD,
     MotionPlanError,
     Trajectory,
-    TrajectoryStep,
     WaypointFollower,
     expert_action,
     load_trajectory,
@@ -115,31 +118,27 @@ def test_rollout_deterministic():
     a = rollout_expert("press-button", seed=4)
     b = rollout_expert("press-button", seed=4)
     assert a.success and b.success
-    assert len(a.steps) == len(b.steps)
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.tensor_bytes == sb.tensor_bytes
-        assert np.array_equal(sa.action, sb.action)
-        assert sa.reward == sb.reward
+    assert a.steps.tobytes() == b.steps.tobytes()
 
 
 def test_rollout_press_button_quick():
     traj = rollout_expert("press-button", seed=9)
     assert traj.success
     assert traj.final_tick <= 200
-    assert all(0.0 <= s.reward <= 1.0 for s in traj.steps)
+    assert ((0.0 <= traj.steps["reward"]) & (traj.steps["reward"] <= 1.0)).all()
 
 
 def test_reward_non_decreasing_at_primitive_boundaries():
     cat = load_catalog()
     for tid in ("pick-place", "open-drawer", "push-block"):
         from robridge.loop import ExpertAsPolicy, LoopConfig, run_episode
-        res = run_episode(tid, ExpertAsPolicy(), LoopConfig(keep_visited=True), seed=2)
+        res = run_episode(tid, ExpertAsPolicy(), LoopConfig(keep_ticks=True), seed=2)
         assert res.success
         task = cat.task(tid)
         boundary_rewards = [0.0]
         for log in res.primitive_log:
-            idx = min(log["ended"], len(res.visited) - 1)
-            boundary_rewards.append(reward(task, res.visited[idx].world))
+            idx = min(log["ended"], len(res.kept) - 1)
+            boundary_rewards.append(reward(task, res.kept[idx].world))
         assert all(b >= a - 1e-9 for a, b in zip(boundary_rewards, boundary_rewards[1:])), \
             f"{tid}: {boundary_rewards}"
 
@@ -160,19 +159,33 @@ def test_trajectory_serialization_roundtrip(tmp_path):
     assert back.seed == traj.seed
     assert back.success == traj.success
     assert back.final_tick == traj.final_tick
-    assert len(back.steps) == len(traj.steps)
-    for sa, sb in zip(traj.steps, back.steps):
-        assert sa.tensor_bytes == sb.tensor_bytes
-        assert np.allclose(sa.action, sb.action)
-        assert sb.reward == pytest.approx(sa.reward, abs=1e-6)
+    assert back.steps.dtype == traj.steps.dtype == STEP_RECORD
+    assert back.steps.tobytes() == traj.steps.tobytes()
 
 
 def test_trajectory_rejects_bad_schema(tmp_path):
-    traj = Trajectory("x", 0, [TrajectoryStep(b"\0" * 28740, np.zeros(4, np.float32), 0.0)],
-                      True, 1)
+    traj = Trajectory("x", 0, zero_steps(1), True, 1)
     path = tmp_path / "t.traj"
     save_trajectory(traj, path)
     raw = path.read_bytes().replace(b'"schema_version": 1', b'"schema_version": 9')
     path.write_bytes(raw)
     with pytest.raises(SchemaVersionError):
         load_trajectory(path)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "size_field", "negative_count"])
+def test_trajectory_rejects_damaged_records(tmp_path, damage):
+    store = DemoStore(tmp_path, "x")
+    path = store.append(Trajectory("x", 0, zero_steps(2), True, 2))
+    raw = bytearray(path.read_bytes())
+    if damage == "truncated":
+        del raw[-1]
+    elif damage == "size_field":   # the first record's, with the file's length intact
+        raw[raw.index(b"\n") + 1] += 1
+    else:
+        raw = raw.replace(b'"steps": 2', b'"steps": -1')
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_trajectory(path)
+    with pytest.raises(RuntimeError, match="corrupt trajectory file"):
+        store.trajectories()

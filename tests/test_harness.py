@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import zero_steps
 from robridge import harness
 from robridge.augment import training_augment
 from robridge.cli import main as cli_main
 from robridge.dagger import DemoStore
-from robridge.experts import ExpertError, Trajectory, TrajectoryStep
+from robridge.experts import ExpertError, Trajectory
 from robridge.harness import (
     ConfigError,
     cmd_bc,
@@ -28,7 +29,6 @@ from robridge.harness import (
 )
 from robridge.hcp import GroundingNoise, StatusNoise
 from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
-from robridge.observation import TENSOR_BYTES
 
 
 def small_config(tmp_path, **over):
@@ -83,6 +83,16 @@ def test_config_unknown_suite(tmp_path):
     ({"expert_randomization": {"base_offset": None}}, "expert_randomization.base_offset"),
     ({"expert_randomization": 5}, "expert_randomization"),
     ({"expert_randomization": True}, "expert_randomization"),
+    ({"loop": {"max_tick": 5}}, "max_tick"),
+    ({"seeds": {"bases": 1}}, "bases"),
+    ({"gea": {"epoch": 1}}, "epoch"),
+    ({"dagger": {"budget": 1}}, "budget"),
+    ({"dagger": {"f": {"value": [1.0]}}}, "value"),
+    ({"epochs": 5}, "epochs"),
+    ({"tasks": [["press-button"]]}, "unknown task"),
+    ({"suites": [1]}, "unknown suite"),
+    ({"dagger": {"f": {"values": [2, True]}}}, "dagger.f.values"),
+    ({"dagger": {"f": {"thresholds": [False]}}}, "dagger.f.thresholds"),
 ])
 def test_config_bad_numbers_name_the_field(over, field):
     with pytest.raises(ConfigError, match=field):
@@ -188,8 +198,7 @@ def failing_expert(fail_task):
     """rollout_expert stand-in: stub demos for every task but fail_task,
     whose rollouts never succeed."""
     def rollout(tid, seed, randomization=None):
-        step = TrajectoryStep(b"\0" * TENSOR_BYTES, np.zeros(4, np.float32), 0.0)
-        return Trajectory(tid, seed, [step] * 3, tid != fail_task, 3)
+        return Trajectory(tid, seed, zero_steps(3), tid != fail_task, 3)
     return rollout
 
 
@@ -464,7 +473,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
             ({"loop": {"status_period": "x"}}, "loop.status_period"),
             ({"seeds": {"base": 0, "episodes": "3"}}, "seeds.episodes"),
             ({"augment": {"seed": 1, "no_such_field": 1}}, "no_such_field"),
-            ({"augment": {"hole_rate": 2}}, "hole_rate")]):
+            ({"augment": {"hole_rate": 2}}, "hole_rate"),
+            ({"loop": {"max_tick": 5}}, "max_tick"),
+            ({"tasks": [["press-button"]]}, "unknown task")]):
         bad = small_config(tmp_path / f"bad_type{i}", **over)
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
                          "--out", str(tmp_path / "x")]) == 2

@@ -84,7 +84,6 @@ def test_ground_oracle_exact_mask(world, frame):
     g = hcp.ground(PrimitiveAction("grasp", "cube"), frame, world)
     assert g.obj_id == world.find("cube").id
     assert np.array_equal(g.obj_mask3, frame.instance3 == g.obj_id)
-    assert g.confidence == 1.0
 
 
 def test_ground_unknown_name(world, frame):

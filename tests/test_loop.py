@@ -172,7 +172,7 @@ def test_expert_episode_golden_digest(task, suite, seed, ticks, success, digest)
 def _steps_digest(steps) -> str:
     h = hashlib.sha256()
     for s in steps:
-        h.update(s.tensor_bytes)
+        h.update(s.tensor.to_bytes())
         h.update(np.asarray(s.action, dtype="<f4").tobytes())
         h.update(repr(float(s.reward)).encode())
     return h.hexdigest()
@@ -195,28 +195,26 @@ def _visited_digest(visited) -> str:
 
 
 def test_recorded_and_visited_episodes_golden():
-    # reach ticks skip the tensor only when nothing keeps it: recording and
-    # keep_visited must still see a tensor for every tick, bit for bit
-    res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(record=True), seed=3)
-    assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (99, "0a86cfd9a3d410c8", 99)
-    assert _steps_digest(res.recorded_steps) == (
+    # reach ticks skip the tensor only when nothing keeps it: kept ticks
+    # must still carry a tensor for every tick, bit for bit
+    res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(keep_ticks=True), seed=3)
+    assert (res.ticks, res.final_digest, len(res.kept)) == (99, "0a86cfd9a3d410c8", 99)
+    assert _steps_digest(res.kept) == (
         "d681c737ba92fc63ff323ddb3fdf57c9a16efffc3e09ad4b9797c9fea415426a")
-    res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(keep_visited=True), seed=3)
-    assert (res.ticks, res.final_digest, len(res.visited)) == (99, "0a86cfd9a3d410c8", 99)
-    assert _visited_digest(res.visited) == (
+    assert _visited_digest(res.kept) == (
         "fcaefa3c4f4b6a5ee2c3aa37cd2aee0d68db772b9e5f4c8b1726766bb7d3b47d")
     # a grasp fault edits the world in place; the recorded tensors follow it
     # (test_replay_roundtrip_with_fault pins the per-tick frame digests)
     res = run_episode("pick-place", ExpertAsPolicy(),
-                      LoopConfig(record=True, fault=FaultConfig()), seed=3)
-    assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (174, "ecd0c7c102c52446", 174)
-    assert _steps_digest(res.recorded_steps) == (
+                      LoopConfig(keep_ticks=True, fault=FaultConfig()), seed=3)
+    assert (res.ticks, res.final_digest, len(res.kept)) == (174, "ecd0c7c102c52446", 174)
+    assert _steps_digest(res.kept) == (
         "d0dd3ab557abce723849647f046942feadb2a3877beb2b57f9e3de345c78d4a4")
     # a rotated and shifted third camera: every recorded tensor, bit for bit
-    res = run_episode("open-drawer", ExpertAsPolicy(), LoopConfig(record=True),
+    res = run_episode("open-drawer", ExpertAsPolicy(), LoopConfig(keep_ticks=True),
                       suite="unseen_camera", seed=3)
-    assert (res.ticks, res.final_digest, len(res.recorded_steps)) == (49, "d56537333c012dda", 49)
-    assert _steps_digest(res.recorded_steps) == (
+    assert (res.ticks, res.final_digest, len(res.kept)) == (49, "d56537333c012dda", 49)
+    assert _steps_digest(res.kept) == (
         "2bd4d4fe2004a05560b4b588bb55e0d84fc33b0e8aa2d78be5425498baac5ab1")
 
 
@@ -251,7 +249,7 @@ def test_visited_worlds_stay_as_they_were_stored():
     # advance keeps the pre-step world itself, not a copy: neither step nor
     # the fault (which fires here) may write it afterwards
     expert = ExpertAsPolicy()
-    ep = Episode("pick-place", LoopConfig(keep_visited=True, fault=FaultConfig()),
+    ep = Episode("pick-place", LoopConfig(keep_ticks=True, fault=FaultConfig()),
                  "nominal", 11, None)
     snapshots = []
     while ep.running:
@@ -261,7 +259,7 @@ def test_visited_worlds_stay_as_they_were_stored():
         snapshots.append(copy.deepcopy(ep.world))
         ep.advance(ep.follower.act(ep.world) if ep.follower is not None
                    else expert.act(ep))
-    visited = ep.result.visited
+    visited = ep.result.kept
     assert len(visited) == len(snapshots) == ep.result.ticks
     for snap, v in zip(snapshots, visited):
         assert states_equal(snap, v.world)
@@ -322,15 +320,14 @@ def test_net_policy_builds_one_tensor_per_policy_tick(monkeypatch):
     assert len(ticks) == len(set(ticks)) == len(forwards)
 
 
-@pytest.mark.parametrize("over", [
-    {"record": True}, {"keep_visited": True}, {"record": True, "keep_visited": True}])
+@pytest.mark.parametrize("over", [{"keep_ticks": True}])
 @pytest.mark.parametrize("net", [False, True])
 def test_recording_or_keeping_builds_one_tensor_per_tick(monkeypatch, over, net):
     built = _calls(monkeypatch, "to_tensor")
     policy = _zero_net_policy() if net else ExpertAsPolicy()
     res = run_episode("pick-place", policy, LoopConfig(max_ticks=120, **over), seed=3)
     assert [frame.tick for _, frame in built] == list(range(res.ticks))
-    assert len(res.recorded_steps or res.visited) == res.ticks
+    assert len(res.kept) == res.ticks
 
 
 @pytest.mark.parametrize("task,policy,over,seed", [

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,14 +7,13 @@ from scipy import ndimage
 
 from conftest import gripper_to
 from robridge import hcp
+from robridge.experts import pack_steps
 from robridge.hcp import PrimitiveAction
 from robridge.observation import (
     GRID,
     GRID_CHANNELS,
-    TENSOR_BYTES,
     VEC_DIM,
     BuildError,
-    ObsTensor,
     _block_majority,
     _block_mean,
     _centroid,
@@ -172,12 +173,12 @@ def test_to_tensor_downsample_arithmetic(world, frame):
 def test_tensor_serialization_roundtrip(world, frame):
     obs = grounded_obs(world, frame, PrimitiveAction("grasp", "cube"))
     t = to_tensor(obs, frame)
+    # a trajectory record holds the tensor's bytes right after its size field
+    steps = pack_steps([SimpleNamespace(tensor=t, action=np.zeros(4), reward=0.0)])
     raw = t.to_bytes()
-    assert len(raw) == TENSOR_BYTES
-    t2 = ObsTensor.from_bytes(raw)
-    assert np.array_equal(t.grid, t2.grid)
-    assert np.array_equal(t.vec, t2.vec)
-    assert t2.to_bytes() == raw
+    assert steps.tobytes()[4:4 + len(raw)] == raw
+    assert np.array_equal(steps["grid"][0], t.grid)
+    assert np.array_equal(steps["vec"][0], t.vec)
 
 
 def test_gripper_channel_refreshes_from_proprioception(world, cams):

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,10 +210,10 @@ def test_dataset_from_trajectories_excludes_reach():
     t_reach = rand_obs(1)
     t_reach.vec[:9] = 0.0
     t_reach.vec[8] = 1.0      # reach
-    from robridge.experts import Trajectory, TrajectoryStep
-    steps = [TrajectoryStep(t_interact.to_bytes(), np.zeros(4, np.float32), 0.0),
-             TrajectoryStep(t_reach.to_bytes(), np.zeros(4, np.float32), 0.0)]
-    traj = Trajectory("x", 0, steps, True, 2)
+    from robridge.experts import Trajectory, pack_steps
+    ticks = [SimpleNamespace(tensor=t, action=np.zeros(4), reward=0.0)
+             for t in (t_interact, t_reach)]
+    traj = Trajectory("x", 0, pack_steps(ticks), True, 2)
     ds = Dataset.from_trajectories([traj])
     assert len(ds) == 1
     assert np.array_equal(ds.grid[0], t_interact.grid)
