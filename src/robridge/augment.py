@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .observation import ObsTensor
-from .util import rng_for
+from .util import rng_for, rng_streams
 
 HOLE_RADIUS = 3  # px
 # grid rows whose depth images are augmented in one pass: 4 rows keep each
@@ -48,9 +48,15 @@ class AugmentConfig:
     shift_max: int = 3                 # px
     crop_margin: int = 2               # px
     segment_add_delete_p: float = 0.10
+    # read only by apply_suite: training keys each row's corruption from
+    # the run seed, epoch and row index instead
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("dilate_radius", "shift_max", "crop_margin", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("warp_mag", "blur_sigma", "hole_rate", "dilate_radius",
                      "shift_max", "crop_margin", "segment_add_delete_p"):
             value = getattr(self, name)
@@ -112,12 +118,6 @@ def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return out
 
 
-def _warp_normals(seed: int, out: np.ndarray) -> np.ndarray:
-    """Fill out (2, h, w) with the raw displacement draws of one depth
-    image's warp."""
-    return rng_for(seed, "depth-warp").standard_normal(out=out)
-
-
 def _warp_block(depth: np.ndarray, disp: np.ndarray, mag: float) -> np.ndarray:
     """Resample each image of depth (n, h, w) float64 through its field in
     disp (n, 2, h, w): raw normals, smoothed and scaled to std mag in place."""
@@ -154,11 +154,6 @@ def expected_hole_count(shape: tuple[int, int], rate: float) -> int:
         return 0
     n = math.log(1.0 - rate) / math.log(1.0 - a)
     return max(1, round(n)) if rate > 0 else 0
-
-
-def _hole_centers(seed: int, shape: tuple[int, int], rate: float) -> np.ndarray:
-    n = expected_hole_count(shape, rate)
-    return rng_for(seed, "holes").integers(0, shape, size=(n, 2))
 
 
 def _hole_mask(centers: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -239,11 +234,10 @@ def delete_component(mask: np.ndarray, seed: int) -> np.ndarray:
     return out
 
 
-def _draw_jitter(seed: int, cfg: AugmentConfig, params: np.ndarray):
-    """Draw one mask's jitter parameters into params, a row of
-    (radius, dr, dc, top, bottom, left, right); return the rare blob edit
-    as (operator, seed), or None."""
-    rng = rng_for(seed, "mask-jitter")
+def _draw_jitter(rng: np.random.Generator, cfg: AugmentConfig, params: np.ndarray):
+    """Draw one mask's jitter parameters from its "mask-jitter" stream into
+    params, a row of (radius, dr, dc, top, bottom, left, right); return the
+    rare blob edit as (operator, seed), or None."""
     if cfg.dilate_radius:
         params[0] = rng.integers(0, cfg.dilate_radius + 1)
     if cfg.shift_max:
@@ -283,30 +277,31 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     and the image work runs over many images at once: all 3B masks, and
     the depth images _DEPTH_CHUNK rows at a time, which bounds the
     temporaries. Only the blur goes image by image, since each image draws
-    its own sigma.
+    its own sigma. The streams are seeded a stage at a time over the whole
+    block (util.rng_streams), and each stage's draws come in row order.
     """
     cfg.validate()
     out = np.array(grids, copy=True)
     b, _, h, w = out.shape
     if len(seeds) != b:
         raise ValueError(f"{len(seeds)} seeds for {b} grids")
-    # draw first: each row's streams; the warp normals are drawn from
-    # warp_seeds pass by pass below
+    # each row's 12 sub-seeds: the jitter, warp, sigma and holes seeds of
+    # its three channels, in that order
+    sub = np.array([rng.integers(1 << 62, size=12)
+                    for rng in rng_streams((int(s), "suite") for s in seeds)],
+                   dtype=np.int64).reshape(b, 4, 3).tolist()
     jitter = np.zeros((3 * b, 7), dtype=np.int64)
-    edits = []
-    warp_seeds = []
-    sigmas = np.empty(3 * b)
+    edits = [_draw_jitter(rng, cfg, jitter[k]) for k, rng in enumerate(
+        rng_streams((s, "mask-jitter") for row in sub for s in row[0]))]
+    sigmas = np.array([rng.uniform(0.0, cfg.blur_sigma) for rng in rng_streams(
+        (s, "sigma") for row in sub for s in row[2])])
     holes = 0.0 < cfg.hole_rate < 1.0
-    centers = []
-    for i, seed in enumerate(seeds):
-        sub = [int(s) for s in rng_for(int(seed), "suite").integers(1 << 62, size=12)]
-        for c in range(3):
-            edits.append(_draw_jitter(sub[c], cfg, jitter[3 * i + c]))
-        warp_seeds += sub[3:6]
-        for c in range(3):
-            sigmas[3 * i + c] = rng_for(sub[6 + c], "sigma").uniform(0.0, cfg.blur_sigma)
-            if holes:
-                centers.append(_hole_centers(sub[9 + c], (h, w), cfg.hole_rate))
+    if holes:
+        n_holes = expected_hole_count((h, w), cfg.hole_rate)
+        centers = np.array([rng.integers(0, (h, w), size=(n_holes, 2)) for rng in rng_streams(
+            (s, "holes") for row in sub for s in row[3])])
+    # the warp normals are drawn pass by pass below
+    warp = rng_streams((s, "depth-warp") for row in sub for s in row[1])
 
     masks = _jitter_block((out[:, :3] >= 0.5).reshape(3 * b, h, w), jitter, edits)
     out[:, :3] = masks.reshape(b, 3, h, w)
@@ -316,13 +311,13 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
         depth = np.array(out[rows, 3:6], dtype=np.float64).reshape(-1, h, w)
         if cfg.warp_mag:
             disp = np.empty((len(depth), 2, h, w))
-            for k, seed in enumerate(warp_seeds[imgs]):
-                _warp_normals(seed, disp[k])
+            for k in range(len(depth)):
+                next(warp).standard_normal(out=disp[k])
             depth = _warp_block(depth, disp, cfg.warp_mag)
         for k in np.flatnonzero(sigmas[imgs]):
             depth[k] = gaussian_blur(depth[k], float(sigmas[imgs][k]))
         if holes:
-            depth[_hole_mask(np.stack(centers[imgs]), (h, w))] = 0
+            depth[_hole_mask(centers[imgs], (h, w))] = 0
         elif cfg.hole_rate >= 1.0:
             depth[:] = 0
         out[rows, 3:6] = np.clip(depth, 0.0, None).astype(np.float32).reshape(-1, 3, h, w)

@@ -7,6 +7,13 @@ with a tanh output, so commands always land in [-1, 1]. Hidden layers are
 tanh as well, which keeps the finite-difference gradient audit smooth
 everywhere. Training uses behavior cloning (mean squared action error)
 with per-parameter first/second moment adaptive steps.
+
+A training step gives the parameters every bit the plain formulas give,
+while avoiding their slow spots: the first-layer weight gradient is built in column blocks with
+the grid as the left operand (the heatmap channel's float32 subnormals
+make the other layout slow in OpenBLAS), the update runs in place over
+cache-sized slices, and an augmented minibatch seeds its row streams in
+one util.rng_streams call.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .augment import augment_grids
 from .observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor, type_index
-from .util import SCHEMA_VERSION, rng_for
+from .util import SCHEMA_VERSION, rng_for, rng_streams
 
 GRID_IN = GRID_CHANNELS * GRID * GRID      # 7168
 H_GRID1 = 256
@@ -31,6 +38,10 @@ ACTION_DIM = 4
 ADAM_BETA1 = 0.9      # first-moment decay of the adaptive step
 ADAM_BETA2 = 0.999    # second-moment decay
 ADAM_EPS = 1e-8
+# elements per slice of the in-place update, so its working set stays in cache
+_ADAM_CHUNK = 1 << 15
+# columns per block of the first-layer weight gradient
+_GW1_BLOCK = 1024
 
 _SHAPES = (
     ("w1", (H_GRID1, GRID_IN)), ("b1", (H_GRID1,)),
@@ -129,7 +140,7 @@ def loss_and_grad_arrays(p: PolicyParams, xg, xv, y_true):
     gb2 = dz2.sum(axis=0)
     dh1 = dz2 @ p.w2
     dz1 = dh1 * (1.0 - h1 * h1)
-    gw1 = dz1.T @ xg_
+    gw1 = _first_layer_grad(dz1, xg_)
     gb1 = dz1.sum(axis=0)
     dzv = dhv * (1.0 - hv * hv)
     gwv = dzv.T @ xv_
@@ -141,6 +152,24 @@ def loss_and_grad_arrays(p: PolicyParams, xg, xv, y_true):
         "w4": gw4, "b4": gb4,
     })
     return loss, grads
+
+
+def _first_layer_grad(dz1: np.ndarray, xg: np.ndarray) -> np.ndarray:
+    """dz1.T @ xg, filled one column block at a time.
+
+    With the grid (whose heatmap channel holds float32 subnormals) as the
+    left operand OpenBLAS runs about 3x faster. The batch is one inner
+    block, so each element is the same multiply-add chain either way and
+    keeps its bits; only at batch sizes 2 and 3 can a zero whose products
+    all underflow come out with the other sign, which _adam_step ignores.
+    Blocks of _GW1_BLOCK columns keep the transposed copy back into C order
+    cache-sized.
+    """
+    gw1 = np.empty((dz1.shape[1], xg.shape[1]), dtype=np.result_type(dz1, xg))
+    for j in range(0, xg.shape[1], _GW1_BLOCK):
+        cols = slice(j, j + _GW1_BLOCK)
+        gw1[:, cols] = (xg[:, cols].T @ dz1).T
+    return gw1
 
 
 @dataclass
@@ -183,10 +212,9 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
     p = params.copy()
     m = {k: np.zeros_like(v) for k, v in p.tensors.items()}
     v = {k: np.zeros_like(vv) for k, vv in p.tensors.items()}
-    # the update runs in place; its two scratch buffers are shared by all
-    # tensors, so they are sized for the largest
-    size = max(vv.size for vv in p.tensors.values())
-    scratch = (np.empty(size, dtype=p.dtype), np.empty(size, dtype=p.dtype))
+    # the update runs in place, a chunk at a time, through two scratch
+    # buffers shared by all tensors
+    scratch = (np.empty(_ADAM_CHUNK, dtype=p.dtype), np.empty(_ADAM_CHUNK, dtype=p.dtype))
     t = 0
     n = len(dataset)
     flat_grid = dataset.grid.reshape(n, -1)
@@ -226,29 +254,37 @@ def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float) -> No
         m = beta1*m + (1-beta1)*g
         v = beta2*v + (1-beta2)*g*g
         p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps)
-    so the result is bit-identical. scratch holds two flat buffers of at
-    least pk.size elements.
+    so the result is bit-identical. Every operation is elementwise, so the
+    flattened tensors are updated one scratch-sized slice at a time; pk, mk
+    and vk must be C-contiguous, so that their flat views write through.
+    scratch holds two flat buffers of one chunk each. The moments start at
+    +0 and +0 + (-0) is +0, so the sign of a zero gradient never shows.
     """
-    a, b = (buf[:pk.size].reshape(pk.shape) for buf in scratch)
-    np.multiply(mk, ADAM_BETA1, out=mk)
-    np.multiply(gk, 1.0 - ADAM_BETA1, out=a)
-    np.add(mk, a, out=mk)
-    np.multiply(vk, ADAM_BETA2, out=vk)
-    np.multiply(gk, 1.0 - ADAM_BETA2, out=a)
-    np.multiply(a, gk, out=a)
-    np.add(vk, a, out=vk)
-    np.divide(mk, bc1, out=a)
-    np.multiply(a, lr, out=a)
-    np.divide(vk, bc2, out=b)
-    np.sqrt(b, out=b)
-    np.add(b, ADAM_EPS, out=b)
-    np.divide(a, b, out=a)
-    np.subtract(pk, a, out=pk)
+    flat = [x.reshape(-1) for x in (pk, gk, mk, vk)]
+    size = len(scratch[0])
+    for lo in range(0, pk.size, size):
+        p, g, m, v = (x[lo:lo + size] for x in flat)
+        a, b = (buf[:len(p)] for buf in scratch)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, bc1, out=a)
+        np.multiply(a, lr, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, ADAM_EPS, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p)
 
 
 def _augment_block(grid_block: np.ndarray, augment_cfg, seed: int, epoch: int,
                    idx: np.ndarray) -> np.ndarray:
-    seeds = [int(rng_for(seed, "aug", epoch, int(i)).integers(1 << 62)) for i in idx]
+    seeds = [int(rng.integers(1 << 62))
+             for rng in rng_streams((seed, "aug", epoch, int(i)) for i in idx)]
     out = augment_grids(grid_block, seeds, augment_cfg)
     return out.reshape(len(idx), GRID_IN).astype(np.float32, copy=False)
 

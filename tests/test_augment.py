@@ -4,15 +4,16 @@ from hypothesis import given, settings, strategies as st
 from robridge.augment import (
     AugmentConfig,
     _dilate,
-    _hole_centers,
     _hole_mask,
     add_blob,
     augment_grids,
     delete_component,
+    expected_hole_count,
     gaussian_blur,
     apply_suite,
 )
 from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
+from robridge.util import rng_streams
 
 
 def rand_depth(seed, shape=(64, 64)):
@@ -121,8 +122,9 @@ def test_random_holes_identity_and_total():
 
 
 def test_random_holes_coverage_monte_carlo():
-    fractions = [_hole_mask(_hole_centers(seed, (64, 64), 0.2)[None], (64, 64))[0].mean()
-                 for seed in range(1000)]
+    n = expected_hole_count((64, 64), 0.2)
+    fractions = [_hole_mask(rng.integers(0, (64, 64), size=(1, n, 2)), (64, 64))[0].mean()
+                 for rng in rng_streams((seed, "holes") for seed in range(1000))]
     mean = float(np.mean(fractions))
     assert abs(mean - 0.2) <= 0.05, f"mean covered fraction {mean:.4f}"
 

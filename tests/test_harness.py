@@ -93,6 +93,10 @@ def test_config_unknown_suite(tmp_path):
     ({"suites": [1]}, "unknown suite"),
     ({"dagger": {"f": {"values": [2, True]}}}, "dagger.f.values"),
     ({"dagger": {"f": {"thresholds": [False]}}}, "dagger.f.thresholds"),
+    ({"augment": {"dilate_radius": 1.5}}, "dilate_radius"),
+    ({"augment": {"shift_max": 2.0}}, "shift_max"),
+    ({"augment": {"crop_margin": True}}, "crop_margin"),
+    ({"augment": {"seed": "x"}}, "seed"),
 ])
 def test_config_bad_numbers_name_the_field(over, field):
     with pytest.raises(ConfigError, match=field):
@@ -474,6 +478,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
             ({"seeds": {"base": 0, "episodes": "3"}}, "seeds.episodes"),
             ({"augment": {"seed": 1, "no_such_field": 1}}, "no_such_field"),
             ({"augment": {"hole_rate": 2}}, "hole_rate"),
+            ({"augment": {"dilate_radius": 1.5}}, "dilate_radius"),
+            ({"augment": {"seed": "x"}}, "seed"),
             ({"loop": {"max_tick": 5}}, "max_tick"),
             ({"tasks": [["press-button"]]}, "unknown task")]):
         bad = small_config(tmp_path / f"bad_type{i}", **over)

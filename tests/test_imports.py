@@ -27,3 +27,23 @@ def test_no_unused_top_level_imports():
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def unreferenced_private_defs(paths: list[Path]) -> list[str]:
+    """Top-level ``_name`` functions and classes that no module of paths
+    mentions, by name or as an attribute, outside their own definition."""
+    defined, used = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{path.name}:{node.lineno} {node.name}"
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [where for name, where in defined.items() if name not in used]
+
+
+def test_no_unused_private_helpers():
+    # a helper only tests call is dead code in src/
+    assert unreferenced_private_defs(sorted(SRC.glob("*.py"))) == []

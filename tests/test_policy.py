@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
+from robridge.observation import GRID, GRID_CHANNELS, HEATMAP_SIGMA, VEC_DIM, ObsTensor
 from robridge.policy import (
     _SHAPES,
     ADAM_BETA1,
@@ -14,7 +14,9 @@ from robridge.policy import (
     CheckpointError,
     Dataset,
     PolicyParams,
+    _ADAM_CHUNK,
     _adam_step,
+    _first_layer_grad,
     forward,
     init_params,
     load_params,
@@ -221,12 +223,19 @@ def test_dataset_from_trajectories_excludes_reach():
 
 
 def test_in_place_adam_step_matches_reference_formula():
+    # a small tensor in one chunk or in uneven chunks, and a tensor of more
+    # than two real chunks
+    for shape, chunk in (((16, 9), 16 * 9 + 3), ((16, 9), 7), ((5, 13109), _ADAM_CHUNK)):
+        adam_matches_reference_formula(shape, chunk)
+
+
+def adam_matches_reference_formula(shape, chunk):
     rng = np.random.default_rng(3)
-    p = rng.standard_normal((16, 9)).astype(np.float32)
+    p = rng.standard_normal(shape).astype(np.float32)
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
-    scratch = (np.empty(p.size + 3, dtype=p.dtype), np.empty(p.size + 3, dtype=p.dtype))
+    scratch = (np.empty(chunk, dtype=p.dtype), np.empty(chunk, dtype=p.dtype))
     lr = 1e-3
     for t in range(1, 6):
         g = rng.standard_normal(p.shape).astype(np.float32)
@@ -239,3 +248,57 @@ def test_in_place_adam_step_matches_reference_formula():
         assert p.tobytes() == ref_p.tobytes()
         assert m.tobytes() == ref_m.tobytes()
         assert v.tobytes() == ref_v.tobytes()
+
+
+def test_adam_step_ignores_the_sign_of_zero_gradients():
+    # the first and second moments start at +0, and +0 + (-0) is +0, so
+    # a gradient's zero sign never reaches the parameters or the moments
+    rng = np.random.default_rng(4)
+    p = rng.standard_normal(64).astype(np.float32)
+    g = rng.standard_normal((3, 64)).astype(np.float32)
+    g[:, ::3] = 0.0
+    runs = []
+    for zero in (0.0, -0.0):
+        g[:, ::3] = zero
+        q, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        scratch = (np.empty(64, dtype=p.dtype), np.empty(64, dtype=p.dtype))
+        for t in range(1, 4):
+            _adam_step(q, g[t - 1], m, v, scratch, 1e-3,
+                       1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+        runs.append(b"".join(x.tobytes() for x in (q, m, v)))
+    assert runs[0] == runs[1]
+
+
+def heatmap_batch(n, seed):
+    """Flat grids whose heatmap channel, as to_tensor builds it, holds
+    subnormals, and a first-layer backward signal for them."""
+    rng = np.random.default_rng(seed)
+    grid = rng.random((n, GRID_CHANNELS, GRID, GRID)).astype(np.float32)
+    grid[:, :3] = grid[:, :3] < 0.1
+    cells = np.arange(GRID) + 0.5
+    for row in grid:
+        cr, cc = rng.uniform(-8.0, GRID + 8.0, size=2)
+        d2 = (cells[:, None] - cr) ** 2 + (cells - cc) ** 2
+        row[6] = np.exp(-d2 / (2.0 * HEATMAP_SIGMA ** 2))
+    dz1 = (rng.standard_normal((n, 256)) * 1e-3).astype(np.float32)
+    return grid.reshape(n, -1), dz1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 38, 64])
+def test_blocked_first_layer_grad_is_the_plain_product(n):
+    xg, dz1 = heatmap_batch(n, n)
+    assert ((xg > 0) & (xg < np.finfo(np.float32).tiny)).any()
+    got = _first_layer_grad(dz1, xg)
+    want = dz1.T @ xg
+    assert got.flags.c_contiguous and got.dtype == want.dtype
+    if n in (2, 3):
+        # at these batch sizes the two layouts may run different kernels,
+        # which can disagree on the sign of a zero whose products all
+        # underflow; the values agree, and the optimizer ignores zero signs
+        assert np.array_equal(got, want)
+    else:
+        assert got.tobytes() == want.tobytes(), (
+            "the column-blocked first-layer gradient differs from dz1.T @ xg: "
+            "this pins a property of the installed OpenBLAS, that both operand "
+            "layouts compute each element as the same multiply-add chain over "
+            "the batch")
