@@ -5,6 +5,9 @@ reward-to-value map: hard tasks (low rewards) get larger weights and are
 sampled more. Each iteration trains on the union of all task datasets,
 evaluates the policy on weighted-sampled tasks, and appends
 expert-relabeled corrections for the failures.
+
+``init`` decodes each demo file once per run; relabels are appended to the
+stores on disk and to the training rows the state keeps.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .experts import ExpertError, Trajectory, expert_action, pack_steps
 from .experts import load_trajectory, save_trajectory
-from .policy import Dataset, PolicyParams
+from .policy import Dataset, PolicyParams, training_steps
 from .policy import train as train_policy
 from .util import SCHEMA_VERSION, digest_file, rng_for
 
@@ -121,6 +124,9 @@ class DemoStore:
 class DaggerState:
     weights: dict[str, float]
     stores: dict[str, DemoStore]
+    # each task's training steps (policy.training_steps of its stored
+    # trajectories, in store order); after a training, views of its union
+    rows: dict[str, np.ndarray]
     iteration: int = 0
 
     def dataset_sizes(self) -> dict[str, int]:
@@ -128,16 +134,11 @@ class DaggerState:
 
 
 def init(stores: dict[str, DemoStore]) -> DaggerState:
-    """Equal sampling weights over already-seeded demo stores."""
-    return DaggerState(weights={tid: 1.0 for tid in stores}, stores=stores)
-
-
-def dataset_from_stores(stores: dict[str, DemoStore]) -> Dataset:
-    """Every stored trajectory as training triples, tasks in sorted order."""
-    trajs = []
-    for tid in sorted(stores):
-        trajs.extend(stores[tid].trajectories())
-    return Dataset.from_trajectories(trajs)
+    """Equal sampling weights over already-seeded demo stores, whose files
+    are decoded here, once per run; a corrupt one raises a RuntimeError."""
+    return DaggerState(weights={tid: 1.0 for tid in stores}, stores=stores, rows={
+        tid: training_steps(np.concatenate([t.steps for t in s.trajectories()]))
+        for tid, s in stores.items()})
 
 
 def _default_rollout(task_id: str, seed: int, policy_params: PolicyParams,
@@ -169,8 +170,13 @@ def _default_relabel(task_id: str, visited) -> Trajectory | None:
 
 def _train_on_union(policy_params: PolicyParams, state: DaggerState,
                     config: ExperimentConfig):
-    """Train on every stored trajectory, seeded by the iteration."""
-    return train_policy(policy_params, dataset_from_stores(state.stores),
+    """Train on every task's rows, tasks in sorted order, seeded by the iteration."""
+    tids = sorted(state.rows)
+    union = np.concatenate([state.rows[t] for t in tids])
+    # each task keeps views of the union, so training holds one copy of the rows
+    ends = np.cumsum([len(state.rows[t]) for t in tids])
+    state.rows.update(zip(tids, np.split(union, ends[:-1])))
+    return train_policy(policy_params, Dataset(union["grid"], union["vec"], union["action"]),
                         config.train_epochs, config.train_lr,
                         seed=config.seed_base + state.iteration,
                         batch_size=config.batch_size, augment_cfg=config.augment)
@@ -202,25 +208,21 @@ def iterate(state: DaggerState, policy_params: PolicyParams,
 
     relabeled = {tid: 0 for tid in sorted(state.stores)}
     skipped = 0
-    budget_hit = False
-    for tid in sorted(failures):
-        for visited in failures[tid]:
-            if config.dagger_sample_budget is not None:
-                total = sum(s.sample_count() for s in state.stores.values())
-                if total >= config.dagger_sample_budget:
-                    budget_hit = True
-                    break
-            traj = _default_relabel(tid, visited)
-            if traj is None:
-                skipped += 1
-                continue
-            state.stores[tid].append(traj)
-            relabeled[tid] += 1
-        if budget_hit:
+    budget = config.dagger_sample_budget
+    stored = sum(s.sample_count() for s in state.stores.values())
+    for tid, visited in [(tid, v) for tid in sorted(failures) for v in failures[tid]]:
+        if budget is not None and stored >= budget:
             break
+        traj = _default_relabel(tid, visited)
+        if traj is None:
+            skipped += 1
+            continue
+        state.stores[tid].append(traj)
+        state.rows[tid] = np.concatenate([state.rows[tid], training_steps(traj.steps)])
+        stored += len(traj.steps)
+        relabeled[tid] += 1
 
-    new_state = DaggerState(weights=new_weights, stores=state.stores,
-                            iteration=state.iteration + 1)
+    new_state = replace(state, weights=new_weights, iteration=state.iteration + 1)
     metrics = {
         "iteration": state.iteration,
         "sampled": sampled,

@@ -171,7 +171,7 @@ def expert_action(primitive: PrimitiveAction, world: WorldState) -> np.ndarray:
     if t in ("open", "close", "pull") or (t == "push" and ent.articulation is not None):
         return _slide_rule(world, primitive, ent)
     if t == "turn":
-        return _turn_rule(world, primitive, ent)
+        return _turn_rule(world, ent)
     if t == "push":
         return _push_rule(world, primitive, ent)
     raise ExpertError(f"no expert rule for primitive {t!r}")
@@ -264,7 +264,7 @@ def _slide_rule(world: WorldState, primitive, ent) -> np.ndarray:
     return _clamp_to_action(hp + d * step - g, -1.0)
 
 
-def _turn_rule(world: WorldState, primitive, ent) -> np.ndarray:
+def _turn_rule(world: WorldState, ent) -> np.ndarray:
     art = ent.articulation
     if art is None or art.mode != "rotary":
         raise ExpertError(f"turn target {ent.name!r} is not a rotary fixture")

@@ -86,10 +86,12 @@ def _object(value, name: str, known: tuple[str, ...]) -> dict:
 
 
 def _names(doc: dict, name: str, default: list[str], known) -> list[str]:
-    """A list of names, each one in known."""
+    """A non-empty list of names, each one in known."""
     names = doc.get(name, default)
     if not isinstance(names, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {names!r}")
+    if not names:   # no suites would make an eval table's Mean NaN
+        raise ConfigError(f"{name} must list at least one {name[:-1]}")
     for n in names:
         if not isinstance(n, str) or n not in known:   # "tasks" lists tasks
             raise ConfigError(f"config references unknown {name[:-1]} {n!r}")
@@ -117,9 +119,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                             "out_dir"))
     cat = load_catalog()
     tasks = _names(doc, "tasks", [], cat.tasks)
-    if not tasks:
-        raise ConfigError("config lists no tasks")
     suites = _names(doc, "suites", ["nominal"], cat.suites)
+    out_dir = doc.get("out_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}")
     seeds = _object(doc.get("seeds", {}), "seeds", ("base", "episodes"))
 
     # absent: the default randomization; null: none
@@ -184,7 +187,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             primitive_timeout=_number("loop.primitive_timeout",
                                       loop_doc.get("primitive_timeout", 200), lowest=1),
         ),
-        out_dir=str(doc.get("out_dir", "out")),
+        out_dir=out_dir,
     )
 
 
@@ -225,8 +228,8 @@ def cmd_collect(config: ExperimentConfig, out_dir: Path) -> dict:
 # trainer runs
 
 def _open_stores(config: ExperimentConfig, root: Path) -> dict[str, daggerlib.DemoStore]:
-    """The config's demo stores under root; none may be empty. Training
-    decodes the files and names any that are corrupt."""
+    """The config's demo stores under root; none may be empty.
+    ``dagger.init`` decodes each file once and names any that is corrupt."""
     if not root.exists():
         raise ConfigError(f"no demo stores at {root}; run collect first")
     stores = {tid: daggerlib.DemoStore(root, tid) for tid in config.tasks}
@@ -411,8 +414,10 @@ def cmd_replay(log_path: Path, out_dir: Path) -> dict:
     if not footer.get("final"):
         raise ValueError(f"episode log {log_path} lacks a final record")
 
-    world, _, cams = instantiate(header["task_id"], header["suite"], header["seed"],
-                                 ExpertRandomization() if header.get("expert_rand") else None)
+    er = header.get("expert_rand")   # logs written before its fields hold true
+    expert_rand = (ExpertRandomization(**er) if isinstance(er, dict)
+                   else ExpertRandomization() if er else None)
+    world, _, cams = instantiate(header["task_id"], header["suite"], header["seed"], expert_rand)
     cam3, cam1 = cams
     cam3.offset = tuple(header.get("camera_offset", cam3.offset))
     frames_dir = out_dir / "frames"

@@ -17,7 +17,7 @@ the waypoint follower acts on reach ticks, the policy on all others.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -224,7 +224,8 @@ class Episode:
                 "status_period": cfg.status_period, "retry_budget": cfg.retry_budget,
                 "max_ticks": cfg.max_ticks,
                 "camera_offset": list(self.cam3.offset),
-                "expert_rand": expert_rand is not None,
+                # the randomization's fields, so replay rebuilds the same scene
+                "expert_rand": False if expert_rand is None else asdict(expert_rand),
             }, sort_keys=True))
         self.frame = render(self.world, self.cam3, self.cam1)
         self.stage_idx = self.stage_hold_run = 0
@@ -287,7 +288,7 @@ class Episode:
         if self._tensor is None:
             if self._obs is None:
                 self._obs = tracked_observation(self.tracker, self.built, self.frame)
-            self._tensor = to_tensor(self._obs, self.frame)
+            self._tensor = to_tensor(self._obs)
         return self._tensor
 
     def advance(self, action) -> None:

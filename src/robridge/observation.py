@@ -13,8 +13,9 @@ component whose centroid is nearest its previous centroid. Components are
 labelled on the bounding box of the foreground only, which keeps the raster
 order and so the label numbers and centroids of a full-image labelling.
 ``track_update`` does the association alone (centroids and lost flags,
-which the status check reads); ``tracked_observation`` turns a tick's
-association into its masks and depth crops, for whoever reads the tensor.
+which the status check reads). ``build`` (from a grounding) and
+``tracked_observation`` (from a tick's association, for whoever reads the
+tensor) hand their channel masks to ``_observation``, which assembles both.
 
 ``to_tensor`` downsamples each channel group in one pass over its stack: a
 block majority over the three masks and a block mean over the three depth
@@ -116,31 +117,37 @@ def type_index(t: str) -> int:
 def build(action: PrimitiveAction, frame: Frame, grounding: Grounding,
           direction: np.ndarray | None = None) -> Observation:
     """Assemble the observation for one primitive from a grounded frame."""
+    if not grounding.obj_mask3.any():
+        raise BuildError(f"empty object mask for {action.obj!r}")
     onehot = np.zeros(len(PRIMITIVE_TYPES))
     onehot[type_index(action.type)] = 1.0
+    channels = [(grounding.obj_mask3, frame.instance1 == grounding.obj_id)]
+    if grounding.des_id is not None:
+        channels.append((grounding.des_mask3, frame.instance1 == grounding.des_id))
+    return _observation(onehot, direction, frame, channels)
 
-    h3, w3 = frame.instance3.shape
-    masks3 = np.zeros((3, h3, w3), dtype=bool)
+
+def _observation(onehot: np.ndarray, direction: np.ndarray | None, frame: Frame,
+                 channels: list[tuple[np.ndarray, np.ndarray]]) -> Observation:
+    """The observation of ``frame`` whose object and, if present, destination
+    channels are the given (third-view mask, first-view mask) pairs.
+
+    The gripper channel comes from the robot's own body, which is
+    proprioception plus calibration, not scene appearance, and the
+    constraint block from the live gripper state.
+    """
+    masks3 = np.zeros((3, *frame.instance3.shape), dtype=bool)
+    depths1 = np.zeros((3, *frame.instance1.shape), dtype=np.float64)
     masks3[0] = frame.instance3 == GRIPPER_ID
-    masks3[1] = grounding.obj_mask3
-    has_des = grounding.des_id is not None
-    if has_des:
-        masks3[2] = grounding.des_mask3
-    if not masks3[1].any():
-        raise BuildError(f"empty object mask for {action.obj!r}")
-
-    h1, w1 = frame.instance1.shape
-    depths1 = np.zeros((3, h1, w1), dtype=np.float64)
-    depths1[0] = frame.depth1 * (frame.instance1 == GRIPPER_ID)
-    depths1[1] = frame.depth1 * (frame.instance1 == grounding.obj_id)
-    if has_des:
-        depths1[2] = frame.depth1 * (frame.instance1 == grounding.des_id)
-
+    np.multiply(frame.depth1, frame.instance1 == GRIPPER_ID, out=depths1[0])
+    for c, (mask3, mask1) in enumerate(channels, start=1):
+        masks3[c] = mask3
+        np.multiply(frame.depth1, mask1, out=depths1[c])
     return Observation(
         action_onehot=onehot, masks3=masks3, depths1=depths1,
         ee_pose=frame.gripper.pose.copy(), direction=direction,
         gripper_open=frame.gripper.aperture >= GRASP_APERTURE,
-        has_destination=has_des,
+        has_destination=len(channels) == 2,
     )
 
 
@@ -225,25 +232,13 @@ def tracked_observation(tracker: TrackerState, obs: Observation, frame: Frame) -
     on, for the primitive whose build is ``obs``.
 
     Each associated channel's mask is its component in the frame's
-    labelling, and a lost channel's is empty. The gripper channel refreshes
-    from the robot's own body (proprioception plus calibration, not scene
-    appearance). An untracked destination channel stays empty, as ``build``
-    leaves it. The constraint block follows the live gripper state.
+    labelling, and a lost channel's is empty. An untracked destination
+    channel stays empty, as ``build`` leaves it. The one-hot and direction
+    arrays are the build's own, which nothing writes.
     """
-    masks3 = np.zeros_like(obs.masks3)
-    depths1 = np.zeros_like(obs.depths1)
-    masks3[0] = frame.instance3 == GRIPPER_ID
-    np.multiply(frame.depth1, frame.instance1 == GRIPPER_ID, out=depths1[0])
-    for c, (t3, t1) in enumerate(tracker.tracks, start=1):
-        masks3[c] = _component_mask(tracker.labels3, t3)
-        np.multiply(frame.depth1, _component_mask(tracker.labels1, t1), out=depths1[c])
-    return Observation(
-        action_onehot=obs.action_onehot.copy(), masks3=masks3, depths1=depths1,
-        ee_pose=frame.gripper.pose.copy(),
-        direction=None if obs.direction is None else obs.direction.copy(),
-        gripper_open=frame.gripper.aperture >= GRASP_APERTURE,
-        has_destination=obs.has_destination,
-    )
+    channels = [(_component_mask(tracker.labels3, t3), _component_mask(tracker.labels1, t1))
+                for t3, t1 in tracker.tracks]
+    return _observation(obs.action_onehot, obs.direction, frame, channels)
 
 
 def _block_mean(imgs: np.ndarray, out_size: int) -> np.ndarray:
@@ -296,7 +291,7 @@ _CELL_CENTRES = np.arange(GRID) + 0.5
 _CELL_CENTRES.flags.writeable = False
 
 
-def to_tensor(obs: Observation, frame: Frame) -> ObsTensor:
+def to_tensor(obs: Observation) -> ObsTensor:
     """Fixed-layout float32 tensor: 7 x 32 x 32 grid plus a 17-vector.
 
     Masks are area-downsampled then thresholded at 0.5; depths are

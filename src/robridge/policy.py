@@ -172,6 +172,16 @@ def _first_layer_grad(dz1: np.ndarray, xg: np.ndarray) -> np.ndarray:
     return gw1
 
 
+def training_steps(steps: np.ndarray) -> np.ndarray:
+    """The step records a policy trains on, in order.
+
+    Reach ticks are waypoint-follower output and the policy never
+    executes reach (the loop motion-plans it), so they are excluded.
+    """
+    # not "<= 0.5": a NaN reach flag keeps its row
+    return steps[~(steps["vec"][:, type_index("reach")] > 0.5)]
+
+
 @dataclass
 class Dataset:
     """Flat arrays of (grid, vec, action) training triples."""
@@ -190,15 +200,9 @@ class Dataset:
 
     @classmethod
     def from_trajectories(cls, trajectories) -> "Dataset":
-        """Flatten trajectories into training triples.
-
-        Reach ticks are waypoint-follower output and the policy never
-        executes reach (the loop motion-plans it), so they are excluded.
-        """
-        steps = np.concatenate([traj.steps for traj in trajectories])
-        # not "<= 0.5": a NaN reach flag keeps its row
-        keep = ~(steps["vec"][:, type_index("reach")] > 0.5)
-        return cls(steps["grid"][keep], steps["vec"][keep], steps["action"][keep])
+        """The trajectories' training steps as triples (views of their fields)."""
+        steps = training_steps(np.concatenate([traj.steps for traj in trajectories]))
+        return cls(steps["grid"], steps["vec"], steps["action"])
 
 
 def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: int,

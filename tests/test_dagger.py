@@ -78,6 +78,18 @@ def test_init_equal_weights_and_counts(tmp_path):
     assert state.dataset_sizes() == {"a": 5, "b": 5, "c": 5}
 
 
+def test_training_keeps_one_copy_of_the_rows(tmp_path, monkeypatch):
+    state = init(stub_stores(tmp_path, ["A", "B", "C"], 2))
+    trained = []
+    monkeypatch.setattr(dagger, "train_policy",
+                        lambda params, ds, *args, **kwargs: trained.append(ds) or (params, {}))
+    dagger._train_on_union(object(), state, ExperimentConfig(tasks=["A", "B", "C"]))
+    [ds] = trained
+    assert len(ds) == 12
+    # every task's rows are now a view of the training set, not a second copy
+    assert all(np.shares_memory(rows, ds.grid) for rows in state.rows.values())
+
+
 def test_demo_store_append_only_and_roundtrip(tmp_path):
     store = DemoStore(tmp_path, "task-x")
     store.append(stub_traj("task-x", steps=3))

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import zero_steps
+from robridge import dagger as daggerlib
 from robridge import harness
 from robridge.augment import training_augment
 from robridge.cli import main as cli_main
 from robridge.dagger import DemoStore
-from robridge.experts import ExpertError, Trajectory
+from robridge.experts import ExpertError, Trajectory, load_trajectory
 from robridge.harness import (
     ConfigError,
     cmd_bc,
@@ -29,6 +30,8 @@ from robridge.harness import (
 )
 from robridge.hcp import GroundingNoise, StatusNoise
 from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
+from robridge.policy import Dataset
+from robridge.tasks import ExpertRandomization
 
 
 def small_config(tmp_path, **over):
@@ -97,6 +100,11 @@ def test_config_unknown_suite(tmp_path):
     ({"augment": {"shift_max": 2.0}}, "shift_max"),
     ({"augment": {"crop_margin": True}}, "crop_margin"),
     ({"augment": {"seed": "x"}}, "seed"),
+    ({"suites": []}, "suites"),
+    ({"out_dir": None}, "out_dir"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"out_dir": ["a"]}, "out_dir"),
+    ({"out_dir": ""}, "out_dir"),
 ])
 def test_config_bad_numbers_name_the_field(over, field):
     with pytest.raises(ConfigError, match=field):
@@ -121,6 +129,7 @@ VALID_CONFIG = {
     "dagger": {"n_eval": 2, "iterations": 2, "sample_budget": 100},
     "loop": {"status_period": 25, "retry_budget": 2, "max_ticks": 300,
              "primitive_timeout": 200},
+    "out_dir": "out",
 }
 # where one mutation can land: a whole section or top-level value, or one field
 CONFIG_PATHS = [(k,) for k in VALID_CONFIG if k != "tasks"] + [
@@ -157,6 +166,7 @@ def _assert_declared_ranges(cfg):
             v = getattr(er, f.name)
             assert type(v) is float and math.isfinite(v) and v >= 0, (f.name, v)
         assert er.dims_frac < 1
+    assert type(cfg.out_dir) is str and cfg.out_dir, cfg.out_dir
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,6 +268,58 @@ def test_training_path_reproduces_recorded_artifacts(tmp_path):
         assert np.mean([row["nominal"] for row in table.values()]) == rate
 
 
+@pytest.fixture(scope="module")
+def dagger_run(tmp_path_factory):
+    """A two-iteration DAgger run with relabels, with every trajectory file
+    it decodes and the state its last iteration returns."""
+    cfg = config_from_dict({"tasks": ["press-button", "pick-place"],
+                            "seeds": {"base": 0, "episodes": 1}, "demos_per_task": 1,
+                            "gea": {"epochs": 1, "lr": 1e-3},
+                            "dagger": {"n_eval": 2, "iterations": 2},
+                            "loop": {"max_ticks": 60}})
+    out = tmp_path_factory.mktemp("dagger_run")
+    manifest = cmd_collect(cfg, out)
+    decoded, states = [], []
+    iterate = daggerlib.iterate
+
+    def load(path):
+        decoded.append(Path(path))
+        return load_trajectory(path)
+
+    def spy_iterate(*args):
+        state, params, metrics = iterate(*args)
+        states.append(state)
+        return state, params, metrics
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(daggerlib, "load_trajectory", load)
+        mp.setattr(daggerlib, "iterate", spy_iterate)
+        result = cmd_dagger(cfg, out)
+    return SimpleNamespace(cfg=cfg, out=out, manifest=manifest, result=result,
+                           decoded=decoded, state=states[-1])
+
+
+def test_dagger_decodes_each_file_once_per_run(dagger_run):
+    assert sum(n for it in dagger_run.result["iterations"] for n in it["relabeled"].values()) > 0
+    work = dagger_run.out / "dagger" / "stores"
+    seeded = [work / tid / name for tid, d in dagger_run.manifest["tasks"].items()
+              for name in d["files"]]
+    assert sorted(dagger_run.decoded) == sorted(seeded)
+
+
+def test_dagger_rows_in_memory_match_the_stores(dagger_run):
+    # the training rows DAgger kept in memory, relabels included, are the
+    # rows of every file in the work stores, decoded afresh
+    work = dagger_run.out / "dagger" / "stores"
+    tasks = sorted(dagger_run.cfg.tasks)
+    fresh = Dataset.from_trajectories([t for tid in tasks
+                                       for t in DemoStore(work, tid).trajectories()])
+    kept = np.concatenate([dagger_run.state.rows[tid] for tid in tasks])
+    for a, b in ((fresh.grid, kept["grid"]), (fresh.vec, kept["vec"]),
+                 (fresh.actions, kept["action"])):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_dagger_produces_checkpoints_and_report(tmp_path):
     cfg = load_config(small_config(tmp_path))
     out = tmp_path / "run"
@@ -290,7 +352,7 @@ def test_dagger_names_corrupt_file(tmp_path):
         cmd_dagger(cfg, out)
     with pytest.raises(RuntimeError, match=str(victim.name)):
         cmd_bc(cfg, out)
-    # the files are decoded once, by training, before any checkpoint is written
+    # dagger.init decodes the files once, before any checkpoint is written
     assert not list(out.rglob("checkpoint.bin"))
 
 
@@ -433,6 +495,24 @@ def test_replay_roundtrip_under_random_faults_and_noise(
     assert info["frames"] == res.ticks == len(list((tmp / "out" / "frames").glob("*.ppm")))
 
 
+def test_replay_rebuilds_the_logged_randomization(tmp_path):
+    log = tmp_path / "ep.jsonl"
+    rand = ExpertRandomization(dims_frac=0.1, camera_px=2.0)
+    res = run_episode("pick-place", ExpertAsPolicy(), LoopConfig(log_path=str(log)), seed=3,
+                      expert_rand=rand)
+    info = cmd_replay(log, tmp_path / "r")
+    assert (info["frames"], info["final_digest"]) == (res.ticks, res.final_digest)
+    assert json.loads(log.read_text().splitlines()[0])["expert_rand"] == asdict(rand)
+    # a log that records the default randomization as true still replays
+    run_episode("pick-place", ExpertAsPolicy(), LoopConfig(log_path=str(log)), seed=3,
+                expert_rand=ExpertRandomization())
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["expert_rand"] = True
+    log.write_text("\n".join([json.dumps(header, sort_keys=True), *lines[1:]]) + "\n")
+    assert cmd_replay(log, tmp_path / "legacy")["frames"] == len(lines) - 2
+
+
 def test_replay_names_the_first_tick_whose_frame_differs(tmp_path):
     log = tmp_path / "ep.jsonl"
     run_episode("press-button", ExpertAsPolicy(), LoopConfig(log_path=str(log)), seed=4)
@@ -481,7 +561,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
             ({"augment": {"dilate_radius": 1.5}}, "dilate_radius"),
             ({"augment": {"seed": "x"}}, "seed"),
             ({"loop": {"max_tick": 5}}, "max_tick"),
-            ({"tasks": [["press-button"]]}, "unknown task")]):
+            ({"tasks": [["press-button"]]}, "unknown task"),
+            ({"suites": []}, "suites"),
+            ({"out_dir": None}, "out_dir")]):
         bad = small_config(tmp_path / f"bad_type{i}", **over)
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
                          "--out", str(tmp_path / "x")]) == 2

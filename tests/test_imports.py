@@ -47,3 +47,25 @@ def unreferenced_private_defs(paths: list[Path]) -> list[str]:
 def test_no_unused_private_helpers():
     # a helper only tests call is dead code in src/
     assert unreferenced_private_defs(sorted(SRC.glob("*.py"))) == []
+
+
+def unused_parameters(path: Path) -> list[str]:
+    """Parameters of the module's top-level functions that the body never
+    names; defaults and annotations do not count as a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        named = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"{path.stem}.{node.name}({p.arg})" for p in params if p.arg not in named]
+    return found
+
+
+def test_no_unused_parameters():
+    # cmd_eval's jobs is ignored, but the benchmark's workloads still pass it
+    allowed = {"harness.cmd_eval(jobs)"}
+    found = [u for p in sorted(SRC.glob("*.py")) for u in unused_parameters(p)]
+    assert [u for u in found if u not in allowed] == []

@@ -23,7 +23,7 @@ def first_tensor(task_id, suite, seed, cam3=None):
     plan = hcp.plan(instruction, frame)
     action = plan.actions[min(1, len(plan.actions) - 1)]   # first interaction primitive
     g = hcp.ground(action, frame, world)
-    return to_tensor(build(action, frame, g, hcp.direction_constraint(action, world)), frame)
+    return to_tensor(build(action, frame, g, hcp.direction_constraint(action, world)))
 
 
 def test_first_tensors_of_every_task_and_suite_golden():

@@ -278,6 +278,18 @@ def _calls(monkeypatch, name, module=looplib):
     return calls
 
 
+def _tensor_ticks(monkeypatch):
+    """The tick of every tensor the loop builds: that of the world rendered
+    last before its ``to_tensor`` call, which is the frame it is made from."""
+    rendered, ticks, real = _calls(monkeypatch, "render"), [], looplib.to_tensor
+
+    def recorded(obs):
+        ticks.append(rendered[-1][0].tick)
+        return real(obs)
+    monkeypatch.setattr(looplib, "to_tensor", recorded)
+    return ticks
+
+
 def _zero_net_policy():
     return NetPolicy(PolicyParams({name: np.zeros(shape, np.float32) for name, shape in _SHAPES}))
 
@@ -293,7 +305,7 @@ RESULT_FIELDS = ("outcome", "reason", "ticks", "reward", "stages_completed", "fi
 ])
 def test_expert_episode_builds_no_tensor_and_reading_it_changes_nothing(
         monkeypatch, task, over, seed):
-    built = _calls(monkeypatch, "to_tensor")
+    built = _tensor_ticks(monkeypatch)
     ref = run_episode(task, ExpertAsPolicy(), LoopConfig(**over), seed=seed)
     assert built == []
     # the same episode, reading the tensor (twice) on every tick before acting
@@ -307,26 +319,25 @@ def test_expert_episode_builds_no_tensor_and_reading_it_changes_nothing(
         ep.advance(ep.follower.act(ep.world) if ep.follower is not None else expert.act(ep))
     for name in RESULT_FIELDS:
         assert getattr(ep.result, name) == getattr(ref, name), name
-    assert [frame.tick for _, frame in built] == list(range(ref.ticks))
+    assert built == list(range(ref.ticks))
 
 
 def test_net_policy_builds_one_tensor_per_policy_tick(monkeypatch):
-    built = _calls(monkeypatch, "to_tensor")
+    built = _tensor_ticks(monkeypatch)
     forwards = _calls(monkeypatch, "forward")
     res = run_episode("press-button", _zero_net_policy(), LoopConfig(max_ticks=120), seed=1)
     # reach ticks belong to the waypoint follower and build nothing
     assert 0 < len(forwards) < res.ticks
-    ticks = [frame.tick for _, frame in built]
-    assert len(ticks) == len(set(ticks)) == len(forwards)
+    assert len(built) == len(set(built)) == len(forwards)
 
 
 @pytest.mark.parametrize("over", [{"keep_ticks": True}])
 @pytest.mark.parametrize("net", [False, True])
 def test_recording_or_keeping_builds_one_tensor_per_tick(monkeypatch, over, net):
-    built = _calls(monkeypatch, "to_tensor")
+    built = _tensor_ticks(monkeypatch)
     policy = _zero_net_policy() if net else ExpertAsPolicy()
     res = run_episode("pick-place", policy, LoopConfig(max_ticks=120, **over), seed=3)
-    assert [frame.tick for _, frame in built] == list(range(res.ticks))
+    assert built == list(range(res.ticks))
     assert len(res.kept) == res.ticks
 
 

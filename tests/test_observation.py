@@ -143,7 +143,7 @@ def test_tracker_iou_against_ground_truth(world, cams):
 
 def test_to_tensor_shapes_and_ranges(world, frame):
     obs = grounded_obs(world, frame, PrimitiveAction("push", "cube", "slot"))
-    t = to_tensor(obs, frame)
+    t = to_tensor(obs)
     assert t.grid.shape == (GRID_CHANNELS, GRID, GRID)
     assert t.vec.shape == (VEC_DIM,)
     for c in range(3):
@@ -155,9 +155,9 @@ def test_to_tensor_shapes_and_ranges(world, frame):
 
 def test_to_tensor_zero_and_full_channels(world, frame):
     obs = grounded_obs(world, frame, PrimitiveAction("grasp", "cube"))
-    assert to_tensor(obs, frame).grid[2].sum() == 0.0
+    assert to_tensor(obs).grid[2].sum() == 0.0
     obs.masks3[1][:] = True
-    t = to_tensor(obs, frame)
+    t = to_tensor(obs)
     assert (t.grid[1] == 1.0).all()
 
 
@@ -165,14 +165,14 @@ def test_to_tensor_downsample_arithmetic(world, frame):
     obs = grounded_obs(world, frame, PrimitiveAction("grasp", "cube"))
     obs.masks3[1][:] = False
     obs.masks3[1][40:48, 60:68] = True   # aligned 8x8 blob
-    t = to_tensor(obs, frame)
+    t = to_tensor(obs)
     assert t.grid[1].sum() == 4.0
     assert (t.grid[1][10:12, 15:17] == 1.0).all()
 
 
 def test_tensor_serialization_roundtrip(world, frame):
     obs = grounded_obs(world, frame, PrimitiveAction("grasp", "cube"))
-    t = to_tensor(obs, frame)
+    t = to_tensor(obs)
     # a trajectory record holds the tensor's bytes right after its size field
     steps = pack_steps([SimpleNamespace(tensor=t, action=np.zeros(4), reward=0.0)])
     raw = t.to_bytes()
