@@ -12,6 +12,10 @@ identity-erased foreground: each channel re-associates to the connected
 component whose centroid is nearest its previous centroid. Components are
 labelled on the bounding box of the foreground only, which keeps the raster
 order and so the label numbers and centroids of a full-image labelling.
+Each view's labelling is kept with the foreground it was made from, and a
+tick whose foreground equals the kept one reuses it: a vertical move, a
+grasp or a press changes depth and paint order but not the top-down
+foreground. The association itself runs every tick.
 ``track_update`` does the association alone (centroids and lost flags,
 which the status check reads). ``build`` (from a grounding) and
 ``tracked_observation`` (from a tick's association, for whoever reads the
@@ -64,6 +68,16 @@ class ChannelTrack:
     component: int = 0                 # label of the matched component; 0 for none
 
 
+@dataclass(frozen=True)
+class Labelling:
+    """A view's foreground and its connected components, as ``_components``
+    returns them. Kept across ticks and shared, so the arrays are read-only."""
+    foreground: np.ndarray             # (h, w) bool
+    labels: np.ndarray                 # (h, w) int32, 0 off the foreground
+    n: int
+    centroids: np.ndarray              # (n, 2) (row, col)
+
+
 @dataclass
 class TrackerState:
     # (third view, first view) tracks of the object, then of the destination
@@ -71,9 +85,9 @@ class TrackerState:
     # own body, so it is never tracked and never lost
     tracks: list[tuple[ChannelTrack, ChannelTrack]]
     prev_gripper_xy: np.ndarray
-    # the component labelling of the last update's frame; None after init
-    labels3: np.ndarray | None = None
-    labels1: np.ndarray | None = None
+    # each view's labelling of the last update's frame; None after init
+    view3: Labelling | None = None
+    view1: Labelling | None = None
 
     def lost_channels(self) -> list[str]:
         return [name for name, (t3, t1) in zip(("object", "destination"), self.tracks)
@@ -199,6 +213,18 @@ def _components(foreground: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return labels, n, np.stack([row_sums / counts, col_sums / counts], axis=1)
 
 
+def _labelling(instance: np.ndarray, kept: Labelling | None) -> Labelling:
+    """The labelling of an instance map's foreground: ``kept`` when that was
+    made from an equal foreground, else ``_components`` of this one."""
+    foreground = instance != 0
+    if kept is not None and np.array_equal(foreground, kept.foreground):
+        return kept
+    labels, n, centroids = _components(foreground)
+    for a in (foreground, labels, centroids):
+        a.flags.writeable = False
+    return Labelling(foreground, labels, n, centroids)
+
+
 def track_update(tracker: TrackerState, frame: Frame) -> TrackerState:
     """High-frequency refresh of the association.
 
@@ -207,24 +233,25 @@ def track_update(tracker: TrackerState, frame: Frame) -> TrackerState:
     gate is lost. Only centroids, lost flags and the labelling are made
     here: the masks are left to ``tracked_observation``.
     """
-    labels3, n3, cents3 = _components(frame.instance3 != 0)
+    view3 = _labelling(frame.instance3, tracker.view3)
     zero_shift = np.zeros(2)
     # first-view crop recenters on the gripper; compensate the expected
     # centroid by the crop movement (world x -> columns, world y -> rows)
     delta = (frame.gripper.pose[:2] - tracker.prev_gripper_xy) / FIRST_SCALE
     shift1 = np.array([-delta[1], -delta[0]])
-    labels1, n1, cents1 = _components(frame.instance1 != 0)
+    view1 = _labelling(frame.instance1, tracker.view1)
 
-    tracks = [(_associate(t3, n3, cents3, zero_shift), _associate(t1, n1, cents1, shift1))
+    tracks = [(_associate(t3, view3.n, view3.centroids, zero_shift),
+               _associate(t1, view1.n, view1.centroids, shift1))
               for t3, t1 in tracker.tracks]
-    return TrackerState(tracks, frame.gripper.pose[:2].copy(), labels3, labels1)
+    return TrackerState(tracks, frame.gripper.pose[:2].copy(), view3, view1)
 
 
-def _component_mask(labels: np.ndarray, track: ChannelTrack) -> np.ndarray:
+def _component_mask(view: Labelling, track: ChannelTrack) -> np.ndarray:
     """A track's mask in its frame's labelling: its component, or empty when lost."""
     if track.component:
-        return labels == track.component
-    return np.zeros(labels.shape, dtype=bool)
+        return view.labels == track.component
+    return np.zeros(view.labels.shape, dtype=bool)
 
 
 def tracked_observation(tracker: TrackerState, obs: Observation, frame: Frame) -> Observation:
@@ -236,7 +263,7 @@ def tracked_observation(tracker: TrackerState, obs: Observation, frame: Frame) -
     channel stays empty, as ``build`` leaves it. The one-hot and direction
     arrays are the build's own, which nothing writes.
     """
-    channels = [(_component_mask(tracker.labels3, t3), _component_mask(tracker.labels1, t1))
+    channels = [(_component_mask(tracker.view3, t3), _component_mask(tracker.view1, t1))
                 for t3, t1 in tracker.tracks]
     return _observation(obs.action_onehot, obs.direction, frame, channels)
 

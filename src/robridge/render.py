@@ -14,10 +14,13 @@ Colours and appearance are immutable values fixed per episode, so they
 are captured by reference, and the checkerboard background image is
 cached on the appearance's colours and cell size.
 
-The third camera stays put for a whole episode, so a body's pixel box and
-mask there depend only on its shape and pose. They are memoized in a small
-bounded cache, and a body that has not moved is not rasterized again. The
-first view re-centres on the gripper every tick and is rasterized afresh.
+A body's pixel box and mask in a view depend only on its shape and pose,
+the camera and the view centre. The third view's centre is fixed for a
+whole episode, and the first view's is the gripper's xy. Both views take
+their footprints from one small bounded cache, so a body is not rasterized
+again while neither it nor the view centre moves in the plane: a vertical
+move, a grasp or a press repaints both views from the cache. Only the
+first view builds a height map; the third view needs its instance map alone.
 """
 
 from __future__ import annotations
@@ -141,6 +144,8 @@ def _footprint(body: _Body, cam: CameraConfig, center_xy):
     return i0, i1, j0, j1, body.mask(x, y)
 
 
+# a packaged scene has at most five bodies (four entities and the gripper),
+# so one tick looks up at most ten footprints over both views
 @lru_cache(maxsize=16)
 def _cached_footprint(kind, cx, cy, yaw, dims, view, offset, resolution, scale,
                       center_x, center_y):
@@ -153,26 +158,29 @@ def _cached_footprint(kind, cx, cy, yaw, dims, view, offset, resolution, scale,
     return fp
 
 
-def _fixed_footprint(body: _Body, cam: CameraConfig, center_xy):
-    """_footprint for a camera that stays put, as the third view does for a
-    whole episode: a static body's footprint is then computed once."""
+def _memoized_footprint(body: _Body, cam: CameraConfig, center_xy):
+    """_footprint from the cache: computed once while the body, the camera
+    and the view centre keep their planar poses. The top is not part of
+    the key, so a body moving only in height is a hit."""
     return _cached_footprint(body.kind, body.cx, body.cy, body.yaw, tuple(body.dims),
                              cam.view, tuple(cam.offset), tuple(cam.resolution),
                              cam.scale, center_xy[0], center_xy[1])
 
 
-def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy, footprint=_footprint):
-    h, w = cam.resolution
-    inst = np.full((h, w), BACKGROUND_ID, dtype=np.int32)
-    height = np.zeros((h, w), dtype=np.float64)
+def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy,
+               height: np.ndarray | None = None) -> np.ndarray:
+    """Instance map of the bodies painted in order; each body's top is
+    painted into ``height`` too, when it is given."""
+    inst = np.full(cam.resolution, BACKGROUND_ID, dtype=np.int32)
     for b in bodies:
-        fp = footprint(b, cam, center_xy)
+        fp = _memoized_footprint(b, cam, center_xy)
         if fp is None:
             continue
         i0, i1, j0, j1, m = fp
         inst[i0:i1, j0:j1][m] = b.ident
-        height[i0:i1, j0:j1][m] = b.top
-    return inst, height
+        if height is not None:
+            height[i0:i1, j0:j1][m] = b.top
+    return inst
 
 
 @lru_cache(maxsize=2)
@@ -206,10 +214,10 @@ def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
     bodies = _bodies(world)
     center3 = ((world.workspace[0, 0] + world.workspace[0, 1]) / 2.0,
                (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0)
-    inst3, _ = _rasterize(bodies, cam3, center3, _fixed_footprint)
+    inst3 = _rasterize(bodies, cam3, center3)
 
-    center1 = world.gripper.pose[:2].copy()
-    inst1, height1 = _rasterize(bodies, cam1, center1)
+    height1 = np.zeros(cam1.resolution, dtype=np.float64)
+    inst1 = _rasterize(bodies, cam1, world.gripper.pose[:2], height1)
 
     # colours and appearance are immutable, so later edits to the world
     # rebind them and cannot reach the image

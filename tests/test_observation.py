@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+import robridge.loop as looplib
+import robridge.observation as obslib
 from conftest import gripper_to
 from robridge import hcp
 from robridge.experts import pack_steps
-from robridge.hcp import PrimitiveAction
+from robridge.hcp import GroundingNoise, PrimitiveAction, StatusNoise
+from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
 from robridge.observation import (
     GRID,
     GRID_CHANNELS,
@@ -25,6 +29,7 @@ from robridge.observation import (
     tracked_observation,
 )
 from robridge.render import render
+from robridge.tasks import load_catalog
 from robridge.world import GRIPPER_ID, first_camera, step, third_camera
 
 
@@ -192,6 +197,77 @@ def test_gripper_channel_refreshes_from_proprioception(world, cams):
         tr = track_update(tr, f)
         tracked = tracked_observation(tr, obs, f)
         assert np.array_equal(tracked.masks3[0], f.instance3 == GRIPPER_ID)
+
+
+def assert_same_labelling(kept, fresh):
+    assert kept.n == fresh.n
+    assert np.array_equal(kept.foreground, fresh.foreground)
+    assert np.array_equal(kept.labels, fresh.labels)
+    assert kept.centroids.tobytes() == fresh.centroids.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(task=st.sampled_from(sorted(load_catalog().tasks)), seed=st.integers(0, 60),
+       period=st.integers(1, 30),
+       fault=st.sampled_from([None, FaultConfig(), FaultConfig(hold_ticks=4, max_fires=3)]),
+       status_rate=st.sampled_from([0.0, 0.2]), flip_p=st.sampled_from([0.0, 0.5]),
+       noise_seed=st.integers(0, 9))
+def test_memoized_labelling_matches_fresh_components_every_tick(
+        task, seed, period, fault, status_rate, flip_p, noise_seed):
+    # every tick of a closed-loop episode: the update that may reuse the
+    # kept labellings must equal one made from fresh _components calls
+    updates = []
+
+    def checked(tracker, frame):
+        kept = obslib.track_update(tracker, frame)
+        fresh = obslib.track_update(replace(tracker, view3=None, view1=None), frame)
+        assert_same_labelling(kept.view3, fresh.view3)
+        assert_same_labelling(kept.view1, fresh.view1)
+        assert len(kept.tracks) == len(fresh.tracks)
+        for pair, ref in zip(kept.tracks, fresh.tracks):
+            for t, r in zip(pair, ref):
+                assert (t.lost, t.component) == (r.lost, r.component)
+                assert (t.centroid is None) == (r.centroid is None)
+                if t.centroid is not None:
+                    assert t.centroid.tobytes() == r.centroid.tobytes()
+        assert kept.lost_channels() == fresh.lost_channels()
+        updates.append(frame.tick)
+        return kept
+
+    cfg = LoopConfig(status_period=period, max_ticks=150, fault=fault,
+                     status_noise=StatusNoise(rate=status_rate, seed=noise_seed),
+                     grounding_noise=GroundingNoise(flip_p=flip_p, seed=noise_seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(looplib, "track_update", checked)
+        res = run_episode(task, ExpertAsPolicy(), cfg, seed=seed)
+    # every tick was checked: observe() runs before each step
+    assert len(updates) >= res.ticks
+
+
+def test_kept_labelling_arrays_are_read_only(world, cams):
+    frame = render(world, *cams)
+    obs = grounded_obs(world, frame, PrimitiveAction("grasp", "cube"))
+    tr = track_update(init_tracker(obs, frame), frame)
+    for view in (tr.view3, tr.view1):
+        for a in (view.foreground, view.labels, view.centroids):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+
+def test_vertical_expert_episode_reuses_labellings(monkeypatch):
+    # press-button is mostly vertical motion: without the kept labellings
+    # every tick would label both views afresh
+    calls = []
+    real = obslib._components
+
+    def counting(foreground):
+        calls.append(1)
+        return real(foreground)
+
+    monkeypatch.setattr(obslib, "_components", counting)
+    res = run_episode("press-button", ExpertAsPolicy(), LoopConfig(), seed=0)
+    assert res.success
+    assert len(calls) < 2 * res.ticks
 
 
 def foreground_images():

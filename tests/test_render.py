@@ -244,16 +244,58 @@ def test_memoized_third_view_matches_full_grid_rasterization(name, move, offset)
     # then hits its first entry again once moved back
     world = create_world(parse_scene(simple_scene_doc()), seed=5)
     cam3 = third_camera(offset=offset)
-    hits = _cached_footprint.cache_info().hits
+    _cached_footprint.cache_clear()
     body = world.find(name)
     home = body.pose.copy()
     for pose in (home, home + (*move[:2], 0.0, move[2]), home):
         body.pose[:] = pose
+        misses = _cached_footprint.cache_info().misses
         f = render(world, cam3, first_camera())
         assert np.array_equal(f.instance3, full_grid_instance3(world, cam3))
     info = _cached_footprint.cache_info()
-    assert info.hits > hits
+    assert info.misses == misses
     assert info.maxsize <= 16
     with pytest.raises(ValueError):
         _cached_footprint(body.kind, *home[:2], home[3], body.dims, "third",
                           cam3.offset, cam3.resolution, cam3.scale, 0.32, 0.32)[4][0, 0] = True
+
+
+def full_grid_first_view(world, cam):
+    """First-view instance and height maps with every body tested on every
+    pixel, in painting order: no bounding boxes, no cache."""
+    h, w = cam.resolution
+    ru, rv = _rotated_offsets(h, w, *cam.offset)
+    x = world.gripper.pose[0] + cam.scale * ru
+    y = world.gripper.pose[1] + cam.scale * rv
+    inst = np.zeros((h, w), dtype=np.int32)
+    height = np.zeros((h, w))
+    for b in _bodies(world):
+        m = b.mask(x, y)
+        inst[m] = b.ident
+        height[m] = b.top
+    return inst, height
+
+
+planar_moves = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)).filter(
+    lambda d: abs(d[0]) + abs(d[1]) >= 1e-3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dz=st.floats(-0.1, 0.1), dxy=planar_moves)
+def test_memoized_first_view_matches_full_grid_rasterization(dz, dxy):
+    # a z-only gripper move repaints both views from the footprint cache;
+    # an xy move re-centres the first view, so each body misses it there,
+    # and the gripper misses it in the third view too
+    world = create_world(parse_scene(simple_scene_doc()), seed=5)
+    cams = third_camera(), first_camera()
+    _cached_footprint.cache_clear()
+    render(world, *cams)
+    for move, misses in (((0.0, 0.0, dz), 0), ((*dxy, 0.0), 1 + len(_bodies(world)))):
+        world.gripper.pose[:3] += move
+        before = _cached_footprint.cache_info().misses
+        f = render(world, *cams)
+        assert _cached_footprint.cache_info().misses - before == misses
+        inst, height = full_grid_first_view(world, cams[1])
+        assert np.array_equal(f.instance1, inst)
+        assert f.depth1.tobytes() == height.tobytes()
+    assert _cached_footprint.cache_info().maxsize <= 16
