@@ -18,6 +18,7 @@ from .observation import GRID, GRID_CHANNELS, VEC_DIM
 from .tasks import ExpertRandomization, TaskSpec, load_catalog
 from .util import SCHEMA_VERSION, check_schema_version
 from .world import (
+    GRASP_APERTURE,
     GRIPPER_RADIUS,
     MAX_STEP_M,
     WorldState,
@@ -39,6 +40,7 @@ GRASP_CLEARANCE = 0.0    # descend until the tip meets the top plane
 TURN_STEP_RAD = 0.2
 SLOW_GAP = 0.03          # descend slowly within this gap above the stop height
 SLOW_CAP = 0.4           # the vertical command's bound while slow
+HANDLE_REACH = 0.015     # the fingertip holds a handle within this distance
 
 
 class MotionPlanError(ValueError):
@@ -232,8 +234,8 @@ def _press_rule(world: WorldState, ent) -> np.ndarray:
 
 def _engaged(world: WorldState, ent) -> bool:
     hp = handle_point(ent)
-    return (float(np.linalg.norm(world.gripper.pose[:3] - hp)) <= 0.015
-            and world.gripper.aperture < 0.5)
+    return (float(np.linalg.norm(world.gripper.pose[:3] - hp)) <= HANDLE_REACH
+            and world.gripper.aperture < GRASP_APERTURE)
 
 
 def _approach_handle(hp: np.ndarray, g: np.ndarray) -> np.ndarray:

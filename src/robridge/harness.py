@@ -113,6 +113,10 @@ def _number(name: str, raw, kind=int, lowest=None):
     return kind(raw)
 
 
+# the LoopConfig fields "loop" may set, with their lowest values; absent ones keep the default
+LOOP_LOWEST = {"status_period": 1, "retry_budget": 0, "max_ticks": 1, "primitive_timeout": 1}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     _object(doc, "config", ("schema_version", "tasks", "suites", "seeds", "demos_per_task",
                             "expert_randomization", "augment", "gea", "dagger", "loop",
@@ -161,8 +165,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(f"dagger.f: {e}") from None
     budget = dag.get("sample_budget")
-    loop_doc = _object(doc.get("loop", {}), "loop",
-                       ("status_period", "retry_budget", "max_ticks", "primitive_timeout"))
+    loop_doc = _object(doc.get("loop", {}), "loop", tuple(LOOP_LOWEST))
     return ExperimentConfig(
         tasks=tasks, suites=suites,
         seed_base=_number("seeds.base", seeds.get("base", 0)),
@@ -178,15 +181,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         dagger_f=fmap,
         dagger_sample_budget=(None if budget is None
                               else _number("dagger.sample_budget", budget, lowest=1)),
-        loop=LoopConfig(
-            status_period=_number("loop.status_period", loop_doc.get("status_period", 25),
-                                  lowest=1),
-            retry_budget=_number("loop.retry_budget", loop_doc.get("retry_budget", 2),
-                                 lowest=0),
-            max_ticks=_number("loop.max_ticks", loop_doc.get("max_ticks", 1000), lowest=1),
-            primitive_timeout=_number("loop.primitive_timeout",
-                                      loop_doc.get("primitive_timeout", 200), lowest=1),
-        ),
+        loop=LoopConfig(**{k: _number(f"loop.{k}", loop_doc[k], lowest=lowest)
+                           for k, lowest in LOOP_LOWEST.items() if k in loop_doc}),
         out_dir=out_dir,
     )
 
@@ -198,7 +194,10 @@ def cmd_collect(config: ExperimentConfig, out_dir: Path) -> dict:
     """Seed demo stores with expert rollouts and write a manifest."""
     out_dir = Path(out_dir)
     store_root = out_dir / "stores"
-    store_root.mkdir(parents=True, exist_ok=True)
+    # attempt seeds restart at 0, so demos kept from a previous run would repeat
+    if store_root.exists():
+        shutil.rmtree(store_root)
+    store_root.mkdir(parents=True)
     manifest = {"schema_version": SCHEMA_VERSION, "tasks": {}}
     failures = []
     for tid in config.tasks:
@@ -335,36 +334,31 @@ def cmd_eval(config: ExperimentConfig, checkpoint: str, out_dir: Path,
     cat = load_catalog()
     plain = [tid for tid in config.tasks if not cat.task(tid).stages]
     staged = [tid for tid in config.tasks if cat.task(tid).stages]
+    skipped = [s for s in config.suites if s != STAGED_SUITE]
 
-    table = {}
-    for tid in plain:
-        row = {}
-        for suite in config.suites:
-            oks = [run_episode(tid, policy, config.loop, suite=suite,
-                               seed=config.seed_base + k).success
-                   for k in range(config.episodes_per_cell)]
-            row[suite] = float(np.mean(oks)) if oks else 0.0
-        row["Mean"] = float(np.mean([row[s] for s in config.suites]))
-        table[tid] = row
+    table, stage_doc = {}, {}
+    for tid in plain + staged:
+        n_stages = len(cat.task(tid).stages)
+        if n_stages and skipped:
+            log.warning("staged task %s runs on suite %s only; skipping suites %s",
+                        tid, STAGED_SUITE, ", ".join(skipped))
+        results = {suite: [run_episode(tid, policy, config.loop, suite=suite,
+                                       seed=config.seed_base + k)
+                           for k in range(config.episodes_per_cell)]
+                   for suite in ([STAGED_SUITE] if n_stages else config.suites)}
+        if n_stages:
+            counts = [r.stages_completed for r in results[STAGED_SUITE]]
+            hist = {str(s): sum(1 for c in counts if c >= s) / len(counts)
+                    for s in range(1, n_stages + 1)}
+            stage_doc[tid] = {"histogram": hist, "avg_len": float(np.mean(counts))}
+        else:
+            row = {s: float(np.mean([r.success for r in rs])) for s, rs in results.items()}
+            row["Mean"] = float(np.mean([row[s] for s in config.suites]))
+            table[tid] = row
 
     doc = {"schema_version": SCHEMA_VERSION, "checkpoint": checkpoint,
            "episodes_per_cell": config.episodes_per_cell, "table": table}
-
     if staged:
-        skipped = [s for s in config.suites if s != STAGED_SUITE]
-        stage_doc = {}
-        for tid in staged:
-            if skipped:
-                log.warning("staged task %s runs on suite %s only; skipping suites %s",
-                            tid, STAGED_SUITE, ", ".join(skipped))
-            counts = [run_episode(tid, policy, config.loop, suite=STAGED_SUITE,
-                                  seed=config.seed_base + k).stages_completed
-                      for k in range(config.episodes_per_cell)]
-            n_stages = len(cat.task(tid).stages)
-            hist = {str(s): sum(1 for c in counts if c >= s) / len(counts)
-                    for s in range(1, n_stages + 1)}
-            stage_doc[tid] = {"histogram": hist,
-                              "avg_len": float(np.mean(counts))}
         doc["stages"] = stage_doc
         _write_stage_table(out_dir / "stages.txt", stage_doc)
 

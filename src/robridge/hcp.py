@@ -29,9 +29,9 @@ from .world import (
     WorldState,
     effective_pose,
     entity_top,
-    footprint_contains,
     handle_point,
     placed_on,
+    pushed_into,
 )
 
 log = logging.getLogger("robridge.planner")
@@ -296,11 +296,7 @@ def primitive_succeeded(action: PrimitiveAction, world: WorldState) -> bool:
         ent = world.find(action.obj)
         if ent.articulation is not None:
             return _coord_done(ent, "hi")
-        if action.des is None:
-            return False
-        p = effective_pose(ent)
-        return (world.gripper.holding != ent.id
-                and footprint_contains(world.find(action.des), p[0], p[1]))
+        return action.des is not None and pushed_into(world, action.obj, action.des)
     if t in HI_END_TYPES:
         return _coord_done(world.find(action.obj), "hi")
     if t in LO_END_TYPES:

@@ -4,6 +4,8 @@ Third view: full-workspace RGB plus an exact per-pixel instance map.
 First view: a height map cropped around the gripper plus its instance map.
 Pixel membership is evaluated at pixel centers, so an integer-pixel camera
 translation shifts the rendered content by exactly that many pixels.
+Footprint geometry is the world's (``world.in_footprint``), so the masks
+and depths agree with the geometry that judges success.
 
 The instance and height maps are rasterized eagerly. The third-view RGB
 image is not: ``render`` captures what it needs (the instance map, each
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +45,8 @@ from .world import (
     Frame,
     WorldState,
     effective_pose,
+    footprint_radius,
+    in_footprint,
 )
 
 
@@ -77,35 +82,16 @@ def world_to_pixel(cam: CameraConfig, center_xy, x: float, y: float) -> tuple[fl
     return row, col
 
 
-class _Body:
+class _Body(NamedTuple):
     """Flat-topped rasterizable body (entity footprint or the gripper)."""
-
-    __slots__ = ("ident", "kind", "cx", "cy", "yaw", "dims", "top", "color")
-
-    def __init__(self, ident, kind, cx, cy, yaw, dims, top, color):
-        self.ident = ident
-        self.kind = kind
-        self.cx = cx
-        self.cy = cy
-        self.yaw = yaw
-        self.dims = dims
-        self.top = top
-        self.color = color
-
-    def radius(self) -> float:
-        if self.kind == "cylinder":
-            return self.dims[0]
-        return math.hypot(self.dims[0], self.dims[1]) / 2.0
-
-    def mask(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        dx = x - self.cx
-        dy = y - self.cy
-        if self.kind == "cylinder":
-            return dx * dx + dy * dy <= self.dims[0] ** 2
-        c, s = math.cos(-self.yaw), math.sin(-self.yaw)
-        lx = c * dx - s * dy
-        ly = s * dx + c * dy
-        return (np.abs(lx) <= self.dims[0] / 2.0) & (np.abs(ly) <= self.dims[1] / 2.0)
+    ident: int | None
+    kind: str
+    cx: float
+    cy: float
+    yaw: float
+    dims: tuple
+    top: float | None
+    color: tuple | None
 
 
 def _bodies(world: WorldState) -> list[_Body]:
@@ -127,7 +113,7 @@ def _footprint(body: _Body, cam: CameraConfig, center_xy):
     """Pixel box (i0, i1, j0, j1) of a body in a view, and the body's mask
     over that box; None when the box misses the view."""
     h, w = cam.resolution
-    r = body.radius() + cam.scale
+    r = footprint_radius(body) + cam.scale
     r0, c0 = world_to_pixel(cam, center_xy, body.cx, body.cy)
     # conservative pixel bounding box around the footprint
     pr = r / cam.scale + 1.0
@@ -141,7 +127,8 @@ def _footprint(body: _Body, cam: CameraConfig, center_xy):
     ru, rv = _rotated_offsets(h, w, *cam.offset)
     x = center_xy[0] + cam.scale * ru[i0:i1, j0:j1]
     y = center_xy[1] + cam.scale * rv[i0:i1, j0:j1]
-    return i0, i1, j0, j1, body.mask(x, y)
+    return i0, i1, j0, j1, in_footprint(body.kind, body.dims, body.cx, body.cy, body.yaw,
+                                        x, y)
 
 
 # a packaged scene has at most five bodies (four entities and the gripper),

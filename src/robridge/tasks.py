@@ -24,8 +24,8 @@ from .world import (
     effective_pose,
     entity_top,
     first_camera,
-    footprint_contains,
     placed_on,
+    pushed_into,
     third_camera,
 )
 
@@ -224,6 +224,13 @@ def _xy_dist(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def _reach_goal(world: WorldState, name: str) -> np.ndarray:
+    """Where reach-target wants the fingertip: hovering above the target's top."""
+    target = world.find(name)
+    p = effective_pose(target)
+    return np.array([p[0], p[1], entity_top(target) + HOVER])
+
+
 def is_success(task: TaskSpec, world: WorldState) -> bool:
     if task.family == "pick_place":
         return placed_on(world, task.obj, task.des)
@@ -233,14 +240,9 @@ def is_success(task: TaskSpec, world: WorldState) -> bool:
             return bool(coord >= task.success_coord)
         return bool(coord <= task.success_coord)
     if task.family == "push":
-        obj = world.find(task.obj)
-        des = world.find(task.des)
-        p = effective_pose(obj)
-        return bool(world.gripper.holding != obj.id and footprint_contains(des, p[0], p[1]))
+        return pushed_into(world, task.obj, task.des)
     if task.family == "reach":
-        target = world.find(task.obj)
-        p = effective_pose(target)
-        goal = np.array([p[0], p[1], entity_top(target) + HOVER])
+        goal = _reach_goal(world, task.obj)
         return bool(float(np.linalg.norm(world.gripper.pose[:3] - goal)) <= REACH_TOL)
     if task.family == "multi":
         return all(stage_satisfied(world, s) for s in task.stages if s[0] == "placed")
@@ -283,10 +285,7 @@ def reward(task: TaskSpec, world: WorldState) -> float:
         r = (0.3 * (1.0 - min(dg / DIST_NORM, 1.0))
              + 0.7 * (1.0 - min(_xy_dist(po, pd) / DIST_NORM, 1.0)))
     elif task.family == "reach":
-        target = world.find(task.obj)
-        p = effective_pose(target)
-        goal = np.array([p[0], p[1], entity_top(target) + HOVER])
-        d = float(np.linalg.norm(g.pose[:3] - goal))
+        d = float(np.linalg.norm(g.pose[:3] - _reach_goal(world, task.obj)))
         r = 1.0 - min(d / DIST_NORM, 1.0)
     elif task.family == "multi":
         placed = sum(1 for s in task.stages if s[0] == "placed" and stage_satisfied(world, s))

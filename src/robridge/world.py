@@ -41,6 +41,7 @@ GRASP_RADIUS = 0.01        # tip-to-object engagement distance
 ENGAGE_RADIUS = 0.02       # handle engagement distance for fixtures
 INTERPEN_TOL = 1e-3        # allowed footprint interpenetration for solids
 PLACEMENT_MARGIN = 0.01    # sampling keeps this gap between footprints
+PLACED_TOL = 2e-3          # a placed object rests no higher than this above the top
 
 GRIPPER_FOOT = 0.024       # square footprint side
 GRIPPER_RADIUS = GRIPPER_FOOT * math.sqrt(2.0) / 2.0   # the footprint's half-diagonal
@@ -213,21 +214,28 @@ def entity_top(e: Entity) -> float:
     return effective_pose(e)[2] + e.height
 
 
-def footprint_radius(e: Entity) -> float:
+def footprint_radius(e) -> float:
+    """Circumradius of a footprint; reads only ``kind`` and ``dims``."""
     if e.kind == "cylinder":
         return e.dims[0]
     return math.hypot(e.dims[0], e.dims[1]) / 2.0
 
 
-def footprint_contains(e: Entity, x: float, y: float) -> bool:
-    p = effective_pose(e)
-    dx, dy = x - p[0], y - p[1]
-    if e.kind == "cylinder":
-        return dx * dx + dy * dy <= e.dims[0] ** 2
-    c, s = math.cos(-p[3]), math.sin(-p[3])
+def in_footprint(kind: str, dims, cx, cy, yaw, x, y):
+    """The footprint test: whether (x, y) lies in a ``kind`` footprint of
+    these dims at (cx, cy, yaw). x and y are scalars or same-shape arrays."""
+    dx, dy = x - cx, y - cy
+    if kind == "cylinder":
+        return dx * dx + dy * dy <= dims[0] ** 2
+    c, s = math.cos(-yaw), math.sin(-yaw)
     lx = c * dx - s * dy
     ly = s * dx + c * dy
-    return abs(lx) <= e.dims[0] / 2.0 and abs(ly) <= e.dims[1] / 2.0
+    return (abs(lx) <= dims[0] / 2.0) & (abs(ly) <= dims[1] / 2.0)
+
+
+def footprint_contains(e: Entity, x: float, y: float) -> bool:
+    p = effective_pose(e)
+    return in_footprint(e.kind, e.dims, p[0], p[1], p[3], x, y)
 
 
 def placed_on(world: WorldState, obj_name: str, des_name: str) -> bool:
@@ -238,7 +246,17 @@ def placed_on(world: WorldState, obj_name: str, des_name: str) -> bool:
         return False
     des = world.find(des_name)
     p = effective_pose(obj)
-    return bool(footprint_contains(des, p[0], p[1]) and p[2] <= entity_top(des) + 2e-3)
+    return bool(footprint_contains(des, p[0], p[1]) and p[2] <= entity_top(des) + PLACED_TOL)
+
+
+def pushed_into(world: WorldState, obj_name: str, des_name: str) -> bool:
+    """The object, released, has its centre inside the destination's
+    footprint; its height does not matter."""
+    obj = world.find(obj_name)
+    if world.gripper.holding == obj.id:
+        return False
+    p = effective_pose(obj)
+    return bool(footprint_contains(world.find(des_name), p[0], p[1]))
 
 
 def handle_point(e: Entity) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import logging
 import math
 import threading
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -185,6 +185,12 @@ def test_config_one_mutated_field_is_refused_or_in_range(path, value):
     _assert_declared_ranges(cfg)
 
 
+def test_config_loop_keeps_loopconfig_defaults_for_missing_keys():
+    assert config_from_dict({"tasks": ["press-button"]}).loop == LoopConfig()
+    partial = config_from_dict({"tasks": ["press-button"], "loop": {"max_ticks": 300}})
+    assert partial.loop == replace(LoopConfig(), max_ticks=300)
+
+
 def test_config_schema_version(tmp_path):
     path = small_config(tmp_path, schema_version=99)
     from robridge.util import SchemaVersionError
@@ -206,6 +212,14 @@ def test_collect_counts_and_rerun_identical(tmp_path):
             fa = out_a / "stores" / tid / name
             fb = out_b / "stores" / tid / name
             assert fa.read_bytes() == fb.read_bytes()
+    # collecting again into a used directory starts from empty stores, so
+    # one demo and then two store the same two as a fresh run
+    out_c = tmp_path / "c"
+    cmd_collect(replace(cfg, demos_per_task=1), out_c)
+    assert cmd_collect(cfg, out_c) == ma
+    for tid in cfg.tasks:
+        assert sorted(p.name for p in (out_c / "stores" / tid).iterdir()) == sorted(
+            p.name for p in (out_a / "stores" / tid).iterdir())
 
 
 def failing_expert(fail_task):

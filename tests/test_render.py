@@ -22,6 +22,7 @@ from robridge.world import (
     create_world,
     effective_pose,
     first_camera,
+    in_footprint,
     third_camera,
 )
 
@@ -231,7 +232,7 @@ def full_grid_instance3(world, cam):
     y = (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0 + cam.scale * rv
     inst = np.zeros((h, w), dtype=np.int32)
     for b in _bodies(world):
-        inst[b.mask(x, y)] = b.ident
+        inst[in_footprint(b.kind, b.dims, b.cx, b.cy, b.yaw, x, y)] = b.ident
     return inst
 
 
@@ -270,7 +271,7 @@ def full_grid_first_view(world, cam):
     inst = np.zeros((h, w), dtype=np.int32)
     height = np.zeros((h, w))
     for b in _bodies(world):
-        m = b.mask(x, y)
+        m = in_footprint(b.kind, b.dims, b.cx, b.cy, b.yaw, x, y)
         inst[m] = b.ident
         height[m] = b.top
     return inst, height

@@ -13,6 +13,9 @@ from robridge.world import (
     create_world,
     effective_pose,
     entity_top,
+    footprint_contains,
+    footprint_radius,
+    in_footprint,
     interpenetration_violation,
     step,
 )
@@ -217,3 +220,22 @@ def test_appearance_and_colours_are_shared_not_copied(world):
         world.appearance.cell = 8
     with pytest.raises(FrozenInstanceError):
         Appearance().light_gain = (0.5, 0.5, 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["cube", "cylinder", "slot", "drawer"]),
+       pose=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5), st.floats(-4.0, 4.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_footprint_test_on_arrays_matches_footprint_contains(name, pose, seed):
+    # the renderer calls in_footprint on pixel grids; it must agree point
+    # by point with the scalar test that contact and success use
+    e = create_world(parse_scene(simple_scene_doc()), seed=5).find(name)
+    e.pose[[0, 1, 3]] = pose
+    p = effective_pose(e)
+    r = footprint_radius(e)
+    xy = p[:2, None, None] + np.random.default_rng(seed).uniform(-1.5 * r, 1.5 * r, (2, 9, 9))
+    xy[:, 0, 0] = p[:2]
+    mask = in_footprint(e.kind, e.dims, p[0], p[1], p[3], xy[0], xy[1])
+    assert mask.shape == (9, 9) and mask.dtype == bool and mask[0, 0]
+    assert mask.tolist() == [[bool(footprint_contains(e, x, y)) for x, y in zip(*row)]
+                             for row in zip(xy[0], xy[1])]
