@@ -86,7 +86,7 @@ def _object(value, name: str, known: tuple[str, ...]) -> dict:
 
 
 def _names(doc: dict, name: str, default: list[str], known) -> list[str]:
-    """A non-empty list of names, each one in known."""
+    """A non-empty list of distinct names, each one in known."""
     names = doc.get(name, default)
     if not isinstance(names, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {names!r}")
@@ -95,6 +95,9 @@ def _names(doc: dict, name: str, default: list[str], known) -> list[str]:
     for n in names:
         if not isinstance(n, str) or n not in known:   # "tasks" lists tasks
             raise ConfigError(f"config references unknown {name[:-1]} {n!r}")
+    if len(set(names)) < len(names):   # a repeat would run its cells twice
+        repeated = next(n for n in names if names.count(n) > 1)
+        raise ConfigError(f"{name} lists {repeated!r} more than once")
     return list(names)
 
 
@@ -145,13 +148,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                               f"got {expert_rand.dims_frac}")
     elif er is not None:
         raise ConfigError(f"expert_randomization must be an object or null, got {er!r}")
+    # absent or null: no augmentation
     aug = doc.get("augment")
-    try:
-        augment = AugmentConfig(**aug) if isinstance(aug, dict) else None
-        if augment is not None:
+    augment = None
+    if isinstance(aug, dict):
+        try:
+            augment = AugmentConfig(**aug)
             augment.validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"augment: {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"augment: {e}") from None
+    elif aug is not None:
+        raise ConfigError(f"augment must be an object or null, got {aug!r}")
     gea = _object(doc.get("gea", {}), "gea", ("batch_size", "epochs", "lr"))
     dag = _object(doc.get("dagger", {}), "dagger", ("n_eval", "iterations", "f", "sample_budget"))
     f_doc = _object(dag.get("f", {}), "dagger.f", ("thresholds", "values"))

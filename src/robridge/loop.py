@@ -12,6 +12,16 @@ built on the first read of ``Episode.tensor`` in that tick: by a learned
 policy or by keeping ticks (``LoopConfig.keep_ticks``). The scripted expert
 and the waypoint follower never read it. ``run_episode`` drives an Episode:
 the waypoint follower acts on reach ticks, the policy on all others.
+
+A retry revisits states: the motion-planned reach brings the gripper back
+to the same approach pose, and a deterministic policy then repeats its
+ticks. So an episode memoizes its tracked tensors on their inputs (the
+frame's geometry key, the gripper, the build's one-hot and direction, the
+tracks' components) and hands out the same read-only tensor for a repeated
+input, and ``NetPolicy`` reuses the action of a tensor it has seen. Both
+memos are small and bounded. The tick's reward and the final frame's digest
+are made only where something reads them: a kept or logged tick, the log's
+footer, or a caller of ``EpisodeResult.final_digest``.
 """
 
 from __future__ import annotations
@@ -51,19 +61,40 @@ from .observation import (
 from .policy import PolicyParams, forward
 from .render import frame_digest, render
 from .tasks import ExpertRandomization, TaskSpec
-from .util import SCHEMA_VERSION, rng_for
-from .world import WorldState, step, support_height
+from .util import SCHEMA_VERSION, clip_unit, rng_for
+from .world import GRASP_APERTURE, Frame, WorldState, step, support_height
+
+# entries of each memo: an episode's tracked tensors, a NetPolicy's actions
+MEMO_SIZE = 64
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Put key last in a bounded memo, dropping the oldest entry when full."""
+    memo[key] = value
+    if len(memo) > MEMO_SIZE:
+        del memo[next(iter(memo))]
 
 
 class NetPolicy:
     """Adapter: trained policy parameters driving the loop. Reads the
-    episode's observation tensor."""
+    episode's observation tensor.
+
+    An episode hands out one read-only tensor object for a repeated input,
+    so the policy keeps the actions of its last MEMO_SIZE tensors and a
+    repeat skips the forward. Each call returns its own action array.
+    """
 
     def __init__(self, params: PolicyParams):
         self.params = params
+        # id(tensor) -> (tensor, action); holding the tensor keeps its id
+        # from being reused while the entry lives
+        self._actions: dict[int, tuple[ObsTensor, np.ndarray]] = {}
 
     def act(self, ep: Episode) -> np.ndarray:
-        return forward(self.params, ep.tensor)
+        x = ep.tensor
+        hit = self._actions.pop(id(x), None) or (x, forward(self.params, x))
+        _remember(self._actions, id(x), hit)
+        return hit[1].copy()
 
 
 class ExpertAsPolicy:
@@ -133,7 +164,15 @@ class EpisodeResult:
     status_events: list = field(default_factory=list)
     kept: list[KeptTick] = field(default_factory=list)
     stages_completed: int = 0
-    final_digest: str = ""
+    # the frame the episode ended on, for final_digest
+    final_frame: Frame | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def final_digest(self) -> str:
+        """``frame_digest`` of the frame the episode ended on, "" before it
+        ends. Made on read: it paints the RGB view, which nothing else in
+        an evaluation reads."""
+        return "" if self.final_frame is None else frame_digest(self.final_frame)
 
 
 def _fire_fault(world: WorldState, fault: FaultConfig, seed: int) -> dict:
@@ -233,8 +272,11 @@ class Episode:
         # fault bookkeeping: grips so far, ticks the current grip has held, firings
         self.hold_events = self.hold_run = self.fault_fires = 0
         self.was_holding = False
-        # this tick's observation and tensor, until built: see ``tensor``
+        # this tick's fresh build, if a primitive started in it, and its
+        # tensor once read: see ``tensor``
         self._obs = self._tensor = None
+        self._tensors: dict[tuple, ObsTensor] = {}   # tracked tensors by input
+        self.tracker = None
         try:
             self.plan = hcp.plan(self.instruction, self.frame, cfg.external_planner,
                                  sorted(self.world.symbol_table()))
@@ -282,25 +324,46 @@ class Episode:
 
     @property
     def tensor(self) -> ObsTensor:
-        """This tick's observation tensor, built on the first read after
-        ``observe()``: from the tracker's association or, if the status
-        check started a primitive, from its build."""
+        """This tick's observation tensor, read-only, made on the first read
+        after ``observe()``: from the tracker's association or, if the
+        status check started a primitive, from its build. A tracked tensor
+        comes from the episode's memo when an earlier tick had the same
+        inputs."""
         if self._tensor is None:
             if self._obs is None:
-                self._obs = tracked_observation(self.tracker, self.built, self.frame)
-            self._tensor = to_tensor(self._obs)
+                self._tensor = self._tracked_tensor()
+            else:
+                self._tensor = _read_only(to_tensor(self._obs))
         return self._tensor
+
+    def _tracked_tensor(self) -> ObsTensor:
+        """The tracked tensor of this tick, keyed on everything
+        ``tracked_observation`` reads: the frame's maps (its geometry key),
+        the gripper's pose and open flag, the build's one-hot and direction,
+        and each track's component in the frame's labelling, which is a
+        function of the maps."""
+        frame, built, gripper = self.frame, self.built, self.frame.gripper
+        key = (frame.geometry, gripper.pose.tobytes(), gripper.aperture >= GRASP_APERTURE,
+               built.action_onehot.tobytes(),
+               None if built.direction is None else built.direction.tobytes(),
+               tuple((t3.component, t1.component) for t3, t1 in self.tracker.tracks))
+        tensor = self._tensors.pop(key, None)
+        if tensor is None:
+            tensor = _read_only(to_tensor(tracked_observation(self.tracker, built, frame)))
+        _remember(self._tensors, key, tensor)
+        return tensor
 
     def advance(self, action) -> None:
         """Clip and apply one action: step the world, let the fault act,
         keep and log the tick, advance the stages and render. Ends the
         episode at max_ticks."""
         cfg, res, current = self.cfg, self.result, self.plan.current
-        action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+        action = clip_unit(np.asarray(action, dtype=np.float64))
         prior = self.world
         self.world = world = step(prior, action)
         fired = self._update_fault() if cfg.fault is not None else None
-        r = tasklib.reward(self.task, world)
+        if cfg.keep_ticks or cfg.log_path:
+            r = tasklib.reward(self.task, world)
         if cfg.keep_ticks:
             # the tensor is still the pre-step frame's; step returned a new
             # world and the fault acted on it, so prior is never written again
@@ -338,7 +401,7 @@ class Episode:
         grounding = hcp.ground(action, frame, world, self.cfg.grounding_noise)
         self._obs = self.built = build(action, frame, grounding,
                                        hcp.direction_constraint(action, world))
-        self.tracker = init_tracker(self.built, frame)
+        self.tracker = init_tracker(self.built, frame, self.tracker)
         self.follower = None
         if action.type == "reach":
             goal = approach_pose(world, action.obj)
@@ -385,7 +448,7 @@ class Episode:
         res.reward = tasklib.reward(self.task, self.world)
         res.ticks = self.world.tick
         res.stages_completed = self.stage_idx
-        res.final_digest = frame_digest(self.frame)
+        res.final_frame = self.frame
         self.running = False
         if self.cfg.log_path:
             self.log_lines.append(json.dumps({
@@ -395,6 +458,13 @@ class Episode:
             }, sort_keys=True))
             with open(self.cfg.log_path, "w", encoding="utf-8") as f:
                 f.write("\n".join(self.log_lines) + "\n")
+
+
+def _read_only(tensor: ObsTensor) -> ObsTensor:
+    """The tensor, its arrays made read-only: it may be handed out again."""
+    tensor.grid.flags.writeable = False
+    tensor.vec.flags.writeable = False
+    return tensor
 
 
 def run_episode(task: TaskSpec | str, policy, cfg: LoopConfig | None = None,

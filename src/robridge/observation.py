@@ -35,6 +35,7 @@ import numpy as np
 from scipy import ndimage
 
 from .hcp import PRIMITIVE_TYPES, Grounding, PrimitiveAction
+from .util import clip_unit
 from .world import FIRST_SCALE, GRASP_APERTURE, GRIPPER_ID, Frame
 
 GRID = 32
@@ -165,11 +166,16 @@ def _observation(onehot: np.ndarray, direction: np.ndarray | None, frame: Frame,
     )
 
 
-def init_tracker(obs: Observation, frame: Frame) -> TrackerState:
+def init_tracker(obs: Observation, frame: Frame,
+                 previous: TrackerState | None = None) -> TrackerState:
+    """A tracker starting from a build's channels. It keeps the labellings
+    of ``previous`` (the tracker it replaces), which its first update
+    reuses if the foreground has not changed."""
     channels = (1, 2) if obs.has_destination else (1,)
     tracks = [(ChannelTrack(_centroid(obs.masks3[c])),
                ChannelTrack(_centroid(obs.depths1[c] > 0.0))) for c in channels]
-    return TrackerState(tracks, frame.gripper.pose[:2].copy())
+    views = (previous.view3, previous.view1) if previous is not None else ()
+    return TrackerState(tracks, frame.gripper.pose[:2].copy(), *views)
 
 
 def _associate(track: ChannelTrack, n: int, centroids: np.ndarray,
@@ -345,8 +351,8 @@ def to_tensor(obs: Observation) -> ObsTensor:
     vec[9] = 2.0 * x / WORKSPACE_XY - 1.0
     vec[10] = 2.0 * y / WORKSPACE_XY - 1.0
     vec[11] = 2.0 * z / WORKSPACE_Z - 1.0
-    vec[12] = np.clip(yaw / np.pi, -1.0, 1.0)
+    vec[12] = min(max(yaw / np.pi, -1.0), 1.0)
     if obs.direction is not None:
         vec[13:16] = obs.direction
     vec[16] = 1.0 if obs.gripper_open else 0.0
-    return ObsTensor(grid=grid, vec=np.clip(vec, -1.0, 1.0))
+    return ObsTensor(grid=grid, vec=clip_unit(vec))

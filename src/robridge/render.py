@@ -23,6 +23,12 @@ their footprints from one small bounded cache, so a body is not rasterized
 again while neither it nor the view centre moves in the plane: a vertical
 move, a grasp or a press repaints both views from the cache. Only the
 first view builds a height map; the third view needs its instance map alone.
+
+One level up, the three maps are a function of the frame's geometry key
+(the bodies, both cameras and both view centres), which the frame carries.
+The maps of the last few keys are kept read-only, so a frame that redraws
+a recent geometry (a still scene, or a retry back at an earlier pose)
+shares its maps and rasterizes nothing; its tick and gripper are its own.
 """
 
 from __future__ import annotations
@@ -191,27 +197,52 @@ def _paint_rgb(inst3: np.ndarray, colors: list, look: Appearance) -> np.ndarray:
     return np.round(rgb * 255.0).astype(np.uint8)
 
 
+def _camera_key(cam: CameraConfig) -> tuple:
+    return cam.view, tuple(cam.offset), tuple(cam.resolution), cam.scale
+
+
+# the maps of the last few geometries rendered, about 112 KB each; within
+# an episode the cameras are fixed, so these are its most recent ticks'
+@lru_cache(maxsize=4)
+def _maps(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Third-view instance map, first-view instance map and first-view
+    height map of a geometry key (see ``render``); shared, so read-only."""
+    bodies, cam3, cam1, center3, center1 = key
+    inst3 = _rasterize(bodies, CameraConfig(*cam3), center3)
+    height1 = np.zeros(cam1[2], dtype=np.float64)
+    inst1 = _rasterize(bodies, CameraConfig(*cam1), center1, height1)
+    for a in (inst3, inst1, height1):
+        a.flags.writeable = False
+    return inst3, inst1, height1
+
+
 def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
-    """Render both views; deterministic given (world, cameras)."""
+    """Render both views; deterministic given (world, cameras).
+
+    The maps are a function of the frame's geometry key: the bodies, both
+    cameras and both view centres. A key seen a few renders ago (a still
+    scene, or a retry back at the same pose) takes its maps from a small
+    cache; the frame's tick and gripper are its own.
+    """
     cam3.validate()
     cam1.validate()
     if cam3.view != "third" or cam1.view != "first":
         raise ValueError("render expects a third-view and a first-view camera")
 
-    bodies = _bodies(world)
+    bodies = tuple(_bodies(world))
     center3 = ((world.workspace[0, 0] + world.workspace[0, 1]) / 2.0,
                (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0)
-    inst3 = _rasterize(bodies, cam3, center3)
-
-    height1 = np.zeros(cam1.resolution, dtype=np.float64)
-    inst1 = _rasterize(bodies, cam1, world.gripper.pose[:2], height1)
+    center1 = (world.gripper.pose[0], world.gripper.pose[1])
+    key = (bodies, _camera_key(cam3), _camera_key(cam1), center3, center1)
+    inst3, inst1, height1 = _maps(key)
 
     # colours and appearance are immutable, so later edits to the world
     # rebind them and cannot reach the image
     colors = sorted((b.ident, b.color) for b in bodies)
     paint = partial(_paint_rgb, inst3, colors, world.appearance)
     return Frame(depth1=height1, instance3=inst3, instance1=inst1,
-                 gripper=world.gripper.copy(), tick=world.tick, paint_rgb3=paint)
+                 gripper=world.gripper.copy(), tick=world.tick, paint_rgb3=paint,
+                 geometry=key)
 
 
 def frame_digest(frame: Frame) -> str:

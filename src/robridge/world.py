@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenes import SceneError, SceneSpec
-from .util import rng_for
+from .util import clip_unit, rng_for
 
 BACKGROUND_ID = 0
 GRIPPER_ID = 1
@@ -171,6 +171,8 @@ def first_camera() -> CameraConfig:
 
 @dataclass
 class Frame:
+    """One render of both views. The maps may be shared with other frames
+    of the same geometry, so they are read-only."""
     depth1: np.ndarray         # (h, w) float64 meters, first view height field
     instance3: np.ndarray      # (H, W) int32 entity ids, 0 = background
     instance1: np.ndarray      # (h, w) int32
@@ -179,6 +181,9 @@ class Frame:
     # builds the third-view RGB image from what the renderer captured at
     # render time; called once, on the first read of rgb3
     paint_rgb3: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    # hashable key the maps are a function of (see ``render.render``);
+    # equal keys mean equal maps
+    geometry: tuple | None = field(default=None, repr=False, compare=False)
     _rgb3: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -195,7 +200,7 @@ def clamp_action(action) -> np.ndarray:
         raise ValueError(f"action must have shape (4,), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("action components must be finite")
-    return np.clip(a, -1.0, 1.0)
+    return clip_unit(a)
 
 
 def effective_pose(e: Entity) -> np.ndarray:

@@ -105,6 +105,13 @@ def test_config_unknown_suite(tmp_path):
     ({"out_dir": 5}, "out_dir"),
     ({"out_dir": ["a"]}, "out_dir"),
     ({"out_dir": ""}, "out_dir"),
+    ({"tasks": ["press-button", "press-button"]}, "tasks"),
+    ({"tasks": ["press-button", "pick-place", "press-button"]}, "tasks"),
+    ({"suites": ["nominal", "nominal"]}, "suites"),
+    ({"augment": True}, "augment"),
+    ({"augment": 5}, "augment"),
+    ({"augment": "yes"}, "augment"),
+    ({"augment": []}, "augment"),
 ])
 def test_config_bad_numbers_name_the_field(over, field):
     with pytest.raises(ConfigError, match=field):
@@ -130,6 +137,7 @@ VALID_CONFIG = {
     "loop": {"status_period": 25, "retry_budget": 2, "max_ticks": 300,
              "primitive_timeout": 200},
     "out_dir": "out",
+    "augment": {},
 }
 # where one mutation can land: a whole section or top-level value, or one field
 CONFIG_PATHS = [(k,) for k in VALID_CONFIG if k != "tasks"] + [
@@ -183,6 +191,8 @@ def test_config_one_mutated_field_is_refused_or_in_range(path, value):
     except ConfigError:
         return
     _assert_declared_ranges(cfg)
+    # only null turns augmentation off
+    assert (cfg.augment is None) == (doc["augment"] is None)
 
 
 def test_config_loop_keeps_loopconfig_defaults_for_missing_keys():
@@ -577,7 +587,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
             ({"loop": {"max_tick": 5}}, "max_tick"),
             ({"tasks": [["press-button"]]}, "unknown task"),
             ({"suites": []}, "suites"),
-            ({"out_dir": None}, "out_dir")]):
+            ({"out_dir": None}, "out_dir"),
+            ({"tasks": ["press-button", "press-button"]}, "tasks"),
+            ({"suites": ["nominal", "nominal"]}, "suites"),
+            ({"augment": True}, "augment"),
+            ({"augment": []}, "augment")]):
         bad = small_config(tmp_path / f"bad_type{i}", **over)
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "expert",
                          "--out", str(tmp_path / "x")]) == 2

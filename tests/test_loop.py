@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import robridge.loop as looplib
 from conftest import states_equal
 from robridge import hcp
 from robridge.hcp import GroundingNoise, StatusNoise
 from robridge.loop import (
+    MEMO_SIZE,
     Episode,
     ExpertAsPolicy,
     FaultConfig,
@@ -18,7 +20,11 @@ from robridge.loop import (
     ZeroPolicy,
     run_episode,
 )
-from robridge.policy import _SHAPES, PolicyParams
+from robridge.observation import to_tensor, tracked_observation
+from robridge.policy import _SHAPES, PolicyParams, init_params
+from robridge.policy import forward as policy_forward
+from robridge.render import _maps, render
+from robridge.world import GRASP_APERTURE
 
 
 def test_expert_episode_advances_primitives():
@@ -237,6 +243,7 @@ def test_episode_stepped_by_hand_matches_run_episode(tmp_path, task, over, seed)
         else:
             ep.advance(expert.act(ep))
     assert ep.result == ref
+    assert ep.result.final_digest == ref.final_digest   # made on read, not compared by ==
     assert log.read_bytes() == ref_log.read_bytes()
     if over:   # the fault fired and a Wrong verdict recovered from it
         assert '"fault"' in log.read_text()
@@ -298,6 +305,85 @@ RESULT_FIELDS = ("outcome", "reason", "ticks", "reward", "stages_completed", "fi
                  "status_events", "primitive_log")
 
 
+def _memo_input(ep):
+    """Everything a tracked tensor is made from: the frame's maps (its
+    geometry key), the gripper's pose and open flag, the build's one-hot and
+    direction, and each track's component in the frame's labelling."""
+    frame, built = ep.frame, ep.built
+    return (frame.geometry, frame.gripper.pose.tobytes(),
+            frame.gripper.aperture >= GRASP_APERTURE, built.action_onehot.tobytes(),
+            None if built.direction is None else built.direction.tobytes(),
+            tuple((t3.component, t1.component) for t3, t1 in ep.tracker.tracks))
+
+
+def _drive(ep, policy, read_on_reach=True):
+    """Step an episode by hand as run_episode does, reading the tensor
+    (twice) before acting on every policy tick, and on reach ticks too when
+    read_on_reach. Returns one record per read: the tick, the tensor read,
+    a fresh build of it (no memo), what the memo keys it on (None when a
+    primitive started in the tick and the tensor is its build's), the
+    action and, for a NetPolicy, a fresh forward of the fresh build. Also
+    checks that every frame's maps equal a render with empty caches."""
+    reads, worlds = [], []
+    while ep.running:
+        built_before = ep.built
+        ep.observe()
+        if not ep.running:
+            break
+        worlds.append((ep.world.copy(), ep.frame))
+        reach = ep.follower is not None
+        if read_on_reach or not reach:
+            x = ep.tensor
+            assert ep.tensor is x
+            if ep.built is built_before:
+                inputs = _memo_input(ep)
+                fresh = to_tensor(tracked_observation(ep.tracker, ep.built, ep.frame))
+            else:
+                inputs, fresh = None, to_tensor(ep.built)
+        action = ep.follower.act(ep.world) if reach else policy.act(ep)
+        if read_on_reach or not reach:
+            expected = (policy_forward(policy.params, fresh)
+                        if isinstance(policy, NetPolicy) and not reach else None)
+            reads.append((ep.world.tick, x, fresh, inputs, np.array(action), expected))
+        ep.advance(action)
+        if not reach:
+            action[...] = np.nan   # a later repeat must not see this
+    for world, frame in worlds:
+        _maps.cache_clear()
+        f = render(world, ep.cam3, ep.cam1)
+        for name in ("instance3", "instance1", "depth1"):
+            assert getattr(f, name).tobytes() == getattr(frame, name).tobytes(), name
+    return reads
+
+
+def _assert_fresh(reads):
+    """Every tensor read is read-only and equals a fresh build bit for bit,
+    and every action of a NetPolicy a fresh forward."""
+    for _, x, fresh, _, action, expected in reads:
+        assert x.grid.tobytes() == fresh.grid.tobytes()
+        assert x.vec.tobytes() == fresh.vec.tobytes()
+        for a in (x.grid, x.vec):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        if expected is not None:
+            assert action.tobytes() == expected.tobytes()
+
+
+def _assert_memoized(reads, built):
+    """A tick builds at most one tensor, and none when its input is among
+    the memo's MEMO_SIZE most recent ones."""
+    assert built == sorted(set(built))
+    recent = []
+    for tick, *_, inputs, _, _ in reads:
+        if inputs is None:
+            continue
+        if inputs in recent:
+            assert tick not in built, tick
+            recent.remove(inputs)
+        recent.append(inputs)
+        del recent[:-MEMO_SIZE]
+
+
 @pytest.mark.parametrize("task,over,seed", [
     ("pick-place", {"fault": FaultConfig(), "status_noise": StatusNoise(rate=0.2, seed=1)}, 11),
     ("pick-insert", {}, 1),
@@ -308,37 +394,102 @@ def test_expert_episode_builds_no_tensor_and_reading_it_changes_nothing(
     built = _tensor_ticks(monkeypatch)
     ref = run_episode(task, ExpertAsPolicy(), LoopConfig(**over), seed=seed)
     assert built == []
-    # the same episode, reading the tensor (twice) on every tick before acting
-    expert = ExpertAsPolicy()
+    # the same episode, reading the tensor on every tick before acting
     ep = Episode(task, LoopConfig(**over), "nominal", seed, None)
-    while ep.running:
-        ep.observe()
-        if not ep.running:
-            break
-        assert ep.tensor is ep.tensor
-        ep.advance(ep.follower.act(ep.world) if ep.follower is not None else expert.act(ep))
+    reads = _drive(ep, ExpertAsPolicy())
     for name in RESULT_FIELDS:
         assert getattr(ep.result, name) == getattr(ref, name), name
-    assert built == list(range(ref.ticks))
+    assert [r[0] for r in reads] == list(range(ref.ticks))
+    _assert_fresh(reads)
+    _assert_memoized(reads, built)
+    # the expert idles while it waits for a status check, so ticks repeat
+    assert 0 < len(built) < ref.ticks
 
 
 def test_net_policy_builds_one_tensor_per_policy_tick(monkeypatch):
+    # each policy tick reads one tensor, built at most once per input; a
+    # repeated tensor reuses its action; reach ticks read nothing
     built = _tensor_ticks(monkeypatch)
     forwards = _calls(monkeypatch, "forward")
-    res = run_episode("press-button", _zero_net_policy(), LoopConfig(max_ticks=120), seed=1)
-    # reach ticks belong to the waypoint follower and build nothing
-    assert 0 < len(forwards) < res.ticks
-    assert len(built) == len(set(built)) == len(forwards)
+    cfg = LoopConfig(max_ticks=120)
+    ref = run_episode("press-button", NetPolicy(init_params(0)), cfg, seed=0)
+    built.clear()
+    forwards.clear()
+    ep = Episode("press-button", cfg, "nominal", 0, None)
+    reads = _drive(ep, NetPolicy(init_params(0)), read_on_reach=False)
+    for name in RESULT_FIELDS:
+        assert getattr(ep.result, name) == getattr(ref, name), name
+    assert any(e["verdict"] == "wrong" for e in ref.status_events)
+    policy_ticks = [r[0] for r in reads]
+    assert 0 < len(policy_ticks) < ref.ticks
+    assert set(built) <= set(policy_ticks)
+    _assert_fresh(reads)
+    _assert_memoized(reads, built)
+    tensors = {id(r[1]) for r in reads}
+    assert len(built) <= len(tensors) <= len(forwards) < len(policy_ticks)
 
 
 @pytest.mark.parametrize("over", [{"keep_ticks": True}])
 @pytest.mark.parametrize("net", [False, True])
 def test_recording_or_keeping_builds_one_tensor_per_tick(monkeypatch, over, net):
+    # every kept tick holds one tensor, built at most once per input
     built = _tensor_ticks(monkeypatch)
     policy = _zero_net_policy() if net else ExpertAsPolicy()
-    res = run_episode("pick-place", policy, LoopConfig(max_ticks=120, **over), seed=3)
-    assert built == list(range(res.ticks))
-    assert len(res.kept) == res.ticks
+    cfg = LoopConfig(max_ticks=120, **over)
+    ref = run_episode("pick-place", policy, cfg, seed=3)
+    assert len(ref.kept) == ref.ticks
+    built.clear()
+    ep = Episode("pick-place", cfg, "nominal", 3, None)
+    reads = _drive(ep, policy)
+    assert [r[0] for r in reads] == list(range(ref.ticks))
+    assert all(k.tensor is r[1] for k, r in zip(ep.result.kept, reads, strict=True))
+    for k, r in zip(ref.kept, reads):
+        assert k.tensor.grid.tobytes() == r[1].grid.tobytes()
+        assert k.tensor.vec.tobytes() == r[1].vec.tobytes()
+    _assert_fresh(reads)
+    _assert_memoized(reads, built)
+    assert 0 < len(built) < ref.ticks
+
+
+@settings(max_examples=25, deadline=None)
+@given(task=st.sampled_from(["pick-place", "push-block", "open-drawer", "sweep-into",
+                             "press-button"]),
+       seed=st.integers(0, 50),
+       net=st.booleans(),
+       fault=st.one_of(st.none(), st.builds(FaultConfig, hold_ticks=st.integers(1, 30))),
+       status=st.one_of(st.none(), st.builds(StatusNoise, rate=st.floats(0.0, 0.5),
+                                             seed=st.integers(0, 9))),
+       grounding=st.one_of(st.none(), st.builds(GroundingNoise, flip_p=st.floats(0.0, 0.3),
+                                                seed=st.integers(0, 9))),
+       period=st.integers(5, 25))
+# a geometry that repeats with a track on another component
+@example(task="push-block", seed=0, net=False, fault=None, status=None, grounding=None,
+         period=12)
+def test_memoized_tensors_and_actions_equal_fresh_ones(task, seed, net, fault, status,
+                                                       grounding, period):
+    # every tick reads its tensor, as keeping ticks does, so reach ticks,
+    # lost and re-found tracks and restarted primitives are all covered
+    cfg = LoopConfig(max_ticks=150, status_period=period, fault=fault, status_noise=status,
+                     grounding_noise=grounding)
+    ep = Episode(task, cfg, "nominal", seed, None)
+    _assert_fresh(_drive(ep, NetPolicy(init_params(seed % 3)) if net else ExpertAsPolicy()))
+
+
+def test_primitive_start_hands_the_labellings_to_the_new_tracker():
+    ep = Episode("pick-place", LoopConfig(), "nominal", 3, None)
+    expert, starts = ExpertAsPolicy(), 0
+    while ep.running:
+        cursor = ep.plan.cursor
+        ep.observe()
+        if not ep.running:
+            break
+        if ep.plan.cursor != cursor:
+            # the new tracker keeps this frame's labellings for its first update
+            starts += 1
+            assert np.array_equal(ep.tracker.view3.foreground, ep.frame.instance3 != 0)
+            assert np.array_equal(ep.tracker.view1.foreground, ep.frame.instance1 != 0)
+        ep.advance(ep.follower.act(ep.world) if ep.follower is not None else expert.act(ep))
+    assert starts == len(ep.result.primitive_log) - 1 > 0
 
 
 @pytest.mark.parametrize("task,policy,over,seed", [

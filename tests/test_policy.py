@@ -1,8 +1,10 @@
 import hashlib
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robridge.observation import GRID, GRID_CHANNELS, HEATMAP_SIGMA, VEC_DIM, ObsTensor
 from robridge.policy import (
@@ -17,6 +19,7 @@ from robridge.policy import (
     _ADAM_CHUNK,
     _adam_step,
     _first_layer_grad,
+    _forward_arrays,
     forward,
     init_params,
     load_params,
@@ -302,3 +305,74 @@ def test_blocked_first_layer_grad_is_the_plain_product(n):
             "this pins a property of the installed OpenBLAS, that both operand "
             "layouts compute each element as the same multiply-add chain over "
             "the batch")
+
+
+@lru_cache(maxsize=1)
+def expert_rows():
+    """The kept rows of a scripted-expert pick-place episode: their heatmap
+    channel holds float32 subnormals, as every to_tensor grid does."""
+    from robridge.experts import rollout_expert
+    return rollout_expert("pick-place", 3).steps
+
+
+@lru_cache(maxsize=2)
+def policy_params(trained: bool) -> PolicyParams:
+    params = init_params(0)
+    if trained:
+        steps = expert_rows()
+        params, _ = train(params, Dataset(steps["grid"], steps["vec"], steps["action"]),
+                          epochs=2, lr=1e-3, seed=0)
+    return params
+
+
+TINY = float(np.finfo(np.float32).tiny)
+HEATMAP = slice(6 * GRID * GRID, 7 * GRID * GRID)   # channel 6 of a flat grid row
+subnormals = st.floats(0.0, TINY, width=32, allow_subnormal=True, exclude_max=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trained=st.booleans(), row=st.integers(0, 98),
+       centre=st.tuples(st.floats(-8.0, GRID + 8.0), st.floats(-8.0, GRID + 8.0)),
+       extra=st.lists(st.tuples(st.integers(0, GRID * GRID - 1), subnormals), max_size=64))
+def test_forward_flushing_subnormals_keeps_every_bit(trained, row, centre, extra):
+    # forward zeroes the subnormals of its own copy of the grid row; its
+    # output is the plain formula's on the unflushed row, bit for bit. The
+    # subnormals are where to_tensor makes them: the heatmap channel's tail,
+    # here around any centre, plus more of them anywhere in that channel.
+    # (Not a theorem: on this OpenBLAS a tiny value put where the mask and
+    # depth channels hold zeros can move a first-layer sum by one ulp.)
+    params, steps = policy_params(trained), expert_rows()
+    grid = steps["grid"][row].copy()
+    cells = np.arange(GRID) + 0.5
+    d2 = (cells[:, None] - centre[0]) ** 2 + (cells - centre[1]) ** 2
+    grid[6] = np.exp(-d2 / (2.0 * HEATMAP_SIGMA ** 2))
+    flat = grid.reshape(-1)
+    for i, v in extra:
+        flat[HEATMAP][i] = v
+    x = ObsTensor(grid, steps["vec"][row].copy())
+    plain, _ = _forward_arrays(params, flat.reshape(1, -1), x.vec.reshape(1, -1))
+    flushed = np.where(np.abs(grid) < TINY, np.float32(0.0), grid)
+    got = forward(params, x)
+    assert got.tobytes() == plain[0].astype(np.float64).tobytes()
+    assert got.tobytes() == forward(params, ObsTensor(flushed, x.vec)).tobytes()
+
+
+def test_expert_rows_hold_subnormals_only_in_the_heatmap():
+    # what the property test above draws from
+    flat = expert_rows()["grid"].reshape(len(expert_rows()), -1)
+    sub = (flat != 0) & (np.abs(flat) < TINY)
+    assert sub[:, HEATMAP].any(axis=1).all()
+    assert not sub[:, :HEATMAP.start].any()
+
+
+def test_forward_leaves_the_callers_tensor_untouched():
+    steps = expert_rows()
+    x = ObsTensor(steps["grid"][40].copy(), steps["vec"][40].copy())
+    assert ((x.grid > 0) & (x.grid < TINY)).any()
+    before = x.grid.tobytes() + x.vec.tobytes()
+    forward(policy_params(False), x)
+    assert x.grid.tobytes() + x.vec.tobytes() == before
+    # and a read-only tensor, as an episode hands out, is only read
+    x.grid.flags.writeable = x.vec.flags.writeable = False
+    forward(policy_params(False), x)
+    assert x.grid.tobytes() + x.vec.tobytes() == before

@@ -9,6 +9,7 @@ from conftest import simple_scene_doc
 from robridge.render import (
     _bodies,
     _cached_footprint,
+    _maps,
     _rotated_offsets,
     frame_digest,
     render,
@@ -286,11 +287,15 @@ planar_moves = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)).filter(
 def test_memoized_first_view_matches_full_grid_rasterization(dz, dxy):
     # a z-only gripper move repaints both views from the footprint cache;
     # an xy move re-centres the first view, so each body misses it there,
-    # and the gripper misses it in the third view too
+    # and the gripper misses it in the third view too; back home, all
+    # three maps come from the map cache, and the frame's tick and gripper
+    # are still its own
     world = create_world(parse_scene(simple_scene_doc()), seed=5)
     cams = third_camera(), first_camera()
+    _maps.cache_clear()
     _cached_footprint.cache_clear()
-    render(world, *cams)
+    home = render(world, *cams)
+    start = world.gripper.pose.copy()
     for move, misses in (((0.0, 0.0, dz), 0), ((*dxy, 0.0), 1 + len(_bodies(world)))):
         world.gripper.pose[:3] += move
         before = _cached_footprint.cache_info().misses
@@ -299,4 +304,21 @@ def test_memoized_first_view_matches_full_grid_rasterization(dz, dxy):
         inst, height = full_grid_first_view(world, cams[1])
         assert np.array_equal(f.instance1, inst)
         assert f.depth1.tobytes() == height.tobytes()
+    world.gripper.pose[:] = start
+    world.tick += 1
+    before = _maps.cache_info()
+    f = render(world, *cams)
+    assert _maps.cache_info().hits == before.hits + 1
+    assert _maps.cache_info().misses == before.misses
+    assert f.instance3 is home.instance3 and f.depth1 is home.depth1
+    inst, height = full_grid_first_view(world, cams[1])
+    assert np.array_equal(f.instance1, inst)
+    assert f.depth1.tobytes() == height.tobytes()
+    assert np.array_equal(f.instance3, full_grid_instance3(world, cams[0]))
+    assert f.tick == home.tick + 1
+    assert f.gripper is not home.gripper and np.array_equal(f.gripper.pose, start)
+    for a in (f.instance3, f.instance1, f.depth1):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
     assert _cached_footprint.cache_info().maxsize <= 16
+    assert _maps.cache_info().maxsize <= 4
