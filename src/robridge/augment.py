@@ -21,9 +21,9 @@ from .observation import ObsTensor
 from .util import rng_for, rng_streams
 
 HOLE_RADIUS = 3  # px
-# grid rows whose depth images are augmented in one pass: 4 rows keep each
-# float64 temporary under 100 KB
-_DEPTH_CHUNK = 4
+# depth images augmented in one pass: 12 keep each (n, h, w) float64
+# temporary under 100 KB
+_DEPTH_CHUNK = 12
 # (row, col) offsets of the pixels one hole covers around its centre
 _DISC = np.array([(di, dj) for di in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
                   for dj in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
@@ -275,40 +275,49 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     Each row draws its own random streams, keyed on its seed, per channel
     and per corruption ("mask-jitter", "depth-warp", "sigma", "holes"),
     and the image work runs over many images at once: all 3B masks, and
-    the depth images _DEPTH_CHUNK rows at a time, which bounds the
-    temporaries. Only the blur goes image by image, since each image draws
-    its own sigma. The streams are seeded a stage at a time over the whole
-    block (util.rng_streams), and each stage's draws come in row order.
+    the depth images _DEPTH_CHUNK at a time, which bounds the temporaries.
+    Only the blur goes image by image, since each image draws its own
+    sigma. The streams are seeded a stage at a time over the whole block
+    (util.rng_streams), and each stage's draws come in image order.
+
+    A depth image whose every bit is zero comes out of warp, blur, holes
+    and clip as it went in, so it gets neither work nor streams; each
+    stream has its own sub-seed, so skipping one moves no other draw.
+    Blank means bits, not values: a -0.0 pixel can leave the clip as -0.0.
     """
     cfg.validate()
     out = np.array(grids, copy=True)
     b, _, h, w = out.shape
     if len(seeds) != b:
         raise ValueError(f"{len(seeds)} seeds for {b} grids")
-    # each row's 12 sub-seeds: the jitter, warp, sigma and holes seeds of
-    # its three channels, in that order
+    # sub[k][3*i + c]: the jitter (k=0), warp, sigma or holes (k=3) seed of
+    # row i's channel c; each row draws its 12 in that order
     sub = np.array([rng.integers(1 << 62, size=12)
                     for rng in rng_streams((int(s), "suite") for s in seeds)],
-                   dtype=np.int64).reshape(b, 4, 3).tolist()
+                   dtype=np.int64).reshape(b, 4, 3).transpose(1, 0, 2).reshape(4, 3 * b)
     jitter = np.zeros((3 * b, 7), dtype=np.int64)
     edits = [_draw_jitter(rng, cfg, jitter[k]) for k, rng in enumerate(
-        rng_streams((s, "mask-jitter") for row in sub for s in row[0]))]
-    sigmas = np.array([rng.uniform(0.0, cfg.blur_sigma) for rng in rng_streams(
-        (s, "sigma") for row in sub for s in row[2])])
+        rng_streams((s, "mask-jitter") for s in sub[0].tolist()))]
+    depth_in = out[:, 3:6].reshape(3 * b, h * w)
+    live = np.flatnonzero(((depth_in != 0) | np.signbit(depth_in)).any(axis=1))
+    warp_seeds, sigma_seeds, hole_seeds = sub[1:, live].tolist()
+    sigmas = np.array([rng.uniform(0.0, cfg.blur_sigma)
+                       for rng in rng_streams((s, "sigma") for s in sigma_seeds)])
     holes = 0.0 < cfg.hole_rate < 1.0
     if holes:
         n_holes = expected_hole_count((h, w), cfg.hole_rate)
-        centers = np.array([rng.integers(0, (h, w), size=(n_holes, 2)) for rng in rng_streams(
-            (s, "holes") for row in sub for s in row[3])])
+        centers = np.array([rng.integers(0, (h, w), size=(n_holes, 2))
+                            for rng in rng_streams((s, "holes") for s in hole_seeds)])
     # the warp normals are drawn pass by pass below
-    warp = rng_streams((s, "depth-warp") for row in sub for s in row[1])
+    warp = rng_streams((s, "depth-warp") for s in warp_seeds)
 
     masks = _jitter_block((out[:, :3] >= 0.5).reshape(3 * b, h, w), jitter, edits)
     out[:, :3] = masks.reshape(b, 3, h, w)
-    for lo in range(0, b, _DEPTH_CHUNK):
-        rows = slice(lo, lo + _DEPTH_CHUNK)
-        imgs = slice(3 * lo, 3 * (lo + _DEPTH_CHUNK))
-        depth = np.array(out[rows, 3:6], dtype=np.float64).reshape(-1, h, w)
+    rows, chans = np.divmod(live, 3)
+    chans += 3
+    for lo in range(0, len(live), _DEPTH_CHUNK):
+        imgs = slice(lo, lo + _DEPTH_CHUNK)
+        depth = out[rows[imgs], chans[imgs]].astype(np.float64)
         if cfg.warp_mag:
             disp = np.empty((len(depth), 2, h, w))
             for k in range(len(depth)):
@@ -320,7 +329,7 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
             depth[_hole_mask(centers[imgs], (h, w))] = 0
         elif cfg.hole_rate >= 1.0:
             depth[:] = 0
-        out[rows, 3:6] = np.clip(depth, 0.0, None).astype(np.float32).reshape(-1, 3, h, w)
+        out[rows[imgs], chans[imgs]] = np.clip(depth, 0.0, None).astype(np.float32)
     return out
 
 

@@ -74,9 +74,6 @@ class PolicyParams:
         except KeyError:
             raise AttributeError(name)
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams({k: v.copy() for k, v in self.tensors.items()})
-
     @property
     def dtype(self):
         return self.tensors["w1"].dtype
@@ -224,13 +221,24 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
     Minibatch order is keyed to the seed; with augment_cfg set, each
     sample is corrupted with a seed derived from (seed, epoch, index) so
     every epoch sees a fresh corruption of the same demonstrations.
+
+    Trains params in place and returns that same object, so every tensor
+    must be writeable and C-contiguous (ValueError names one that is not).
+    Parameter-sized buffers held at once: the parameters, their two
+    moments and one step's gradients; each step's gradients and batch are
+    dropped before the next batch is built. A non-finite loss raises
+    TrainingError before its step updates anything, so params then hold
+    the result of the last step whose loss was finite.
     """
-    p = params.copy()
-    m = {k: np.zeros_like(v) for k, v in p.tensors.items()}
-    v = {k: np.zeros_like(vv) for k, vv in p.tensors.items()}
+    for k, x in params.tensors.items():
+        if not (x.flags.writeable and x.flags.c_contiguous):
+            raise ValueError(f"train updates {k} in place: it must be writeable "
+                             f"and C-contiguous")
+    m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    v = {k: np.zeros_like(vv) for k, vv in params.tensors.items()}
     # the update runs in place, a chunk at a time, through two scratch
     # buffers shared by all tensors
-    scratch = (np.empty(_ADAM_CHUNK, dtype=p.dtype), np.empty(_ADAM_CHUNK, dtype=p.dtype))
+    scratch = tuple(np.empty(_ADAM_CHUNK, dtype=params.dtype) for _ in range(2))
     t = 0
     n = len(dataset)
     flat_grid = dataset.grid.reshape(n, -1)
@@ -247,20 +255,21 @@ def train(params: PolicyParams, dataset: Dataset, epochs: int, lr: float, seed: 
                 xg = flat_grid[idx]
             xv = dataset.vec[idx]
             y = dataset.actions[idx]
-            loss, grads = loss_and_grad_arrays(p, xg, xv, y)
+            loss, grads = loss_and_grad_arrays(params, xg, xv, y)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}: {loss}")
             t += 1
             bc1 = 1.0 - ADAM_BETA1 ** t
             bc2 = 1.0 - ADAM_BETA2 ** t
-            for k in p.tensors:
-                _adam_step(p.tensors[k], grads.tensors[k], m[k], v[k], scratch,
+            for k in params.tensors:
+                _adam_step(params.tensors[k], grads.tensors[k], m[k], v[k], scratch,
                            lr, bc1, bc2)
+            del grads, xg
             epoch_loss += loss * len(idx)
             seen += len(idx)
         losses.append(epoch_loss / seen)
-    return p, {"loss": losses, "epochs": epochs, "samples": n}
+    return params, {"loss": losses, "epochs": epochs, "samples": n}
 
 
 def _adam_step(pk, gk, mk, vk, scratch, lr: float, bc1: float, bc2: float) -> None:
@@ -319,6 +328,9 @@ def save_params(params: PolicyParams, path) -> None:
 
 
 def load_params(path) -> PolicyParams:
+    """Read a save_params checkpoint, each tensor straight into its own
+    array (no intermediate bytes object); CheckpointError on a wrong magic,
+    version or fingerprint, or at the first tensor the file cuts short."""
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"{path}: not a policy checkpoint")
@@ -331,9 +343,7 @@ def load_params(path) -> PolicyParams:
                 f"{path}: architecture fingerprint {fp} != expected {ARCH_FINGERPRINT}")
         tensors = {}
         for name, shape in _SHAPES:
-            count = int(np.prod(shape))
-            raw = f.read(count * 4)
-            if len(raw) != count * 4:
+            arr = tensors[name] = np.empty(shape, dtype="<f4")
+            if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated checkpoint at {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return PolicyParams(tensors)

@@ -117,12 +117,19 @@ def ref_suite(grid, cfg, seed):
     return grid
 
 
-def rand_grids(seed, b, shape=(GRID, GRID)):
+def rand_grids(seed, b, shape=(GRID, GRID), blank=0.3):
+    """Random grids in which a share `blank` of the depth images is zero:
+    half of those all +0.0 (augment_grids skips them), the other half
+    with scattered -0.0 pixels (which it must still corrupt)."""
     rng = np.random.default_rng(seed)
     grids = np.zeros((b, GRID_CHANNELS, *shape), dtype=np.float32)
     grids[:, :3] = rng.random((b, 3, *shape)) < rng.uniform(0.02, 0.4)
     grids[:, 3:6] = rng.random((b, 3, *shape)) * 0.4
     grids[:, 6] = rng.random((b, *shape))
+    zero = rng.random((b, 3)) < blank
+    grids[:, 3:6][zero] = 0.0
+    signed = zero & (rng.random((b, 3)) < 0.5)
+    grids[:, 3:6][signed] = np.where(rng.random((signed.sum(), *shape)) < 0.5, -0.0, 0.0)
     return grids
 
 
@@ -153,9 +160,10 @@ configs = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(cfg=configs, b=st.integers(1, 9), grid_seed=st.integers(0, 10_000),
        seeds=st.lists(st.integers(0, (1 << 62) - 1), min_size=9, max_size=9),
-       shape=st.sampled_from([(GRID, GRID), (GRID, GRID), (17, 24), (9, 7)]))
-def test_augment_grids_matches_one_image_reference(cfg, b, grid_seed, seeds, shape):
-    grids = rand_grids(grid_seed, b, shape)
+       shape=st.sampled_from([(GRID, GRID), (GRID, GRID), (17, 24), (9, 7)]),
+       blank=st.sampled_from([0.0, 0.3, 0.87, 1.0]))
+def test_augment_grids_matches_one_image_reference(cfg, b, grid_seed, seeds, shape, blank):
+    grids = rand_grids(grid_seed, b, shape, blank)
     before = grids.copy()
     out = augment_grids(grids, seeds[:b], cfg)
     assert out.dtype == grids.dtype and out.shape == grids.shape
@@ -167,8 +175,12 @@ def test_augment_grids_matches_one_image_reference(cfg, b, grid_seed, seeds, sha
 @pytest.mark.parametrize("cfg", NAMED_CONFIGS)
 def test_named_configs_match_reference(cfg):
     # every named edge case runs at least once, at a size that splits the
-    # depth work into uneven passes
+    # depth work into uneven passes, on blank (+0.0), signed-zero (-0.0)
+    # and live depth images
     grids = rand_grids(7, 7)
+    depth = grids[:, 3:6].reshape(21, -1)
+    negative = np.signbit(depth).any(axis=1)
+    assert 0 < negative.sum() < (depth == 0).all(axis=1).sum() < 21
     seeds = list(range(100, 107))
     out = augment_grids(grids, seeds, cfg)
     for i in range(7):

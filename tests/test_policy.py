@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -128,10 +129,54 @@ def test_gradients_match_finite_differences():
 
 def test_train_lr_zero_leaves_params():
     p = init_params(4)
+    before = {k: v.copy() for k, v in p.tensors.items()}
     ds = rand_dataset(0, 20)
     p2, _ = train(p, ds, epochs=3, lr=0.0, seed=0)
-    for k in p.tensors:
-        assert np.array_equal(p.tensors[k], p2.tensors[k])
+    assert p2 is p
+    for k in before:
+        assert np.array_equal(before[k], p.tensors[k])
+
+
+def test_train_updates_the_given_params_in_place():
+    p = init_params(5)
+    arrays = dict(p.tensors)
+    w1 = p.w1.copy()
+    q, _ = train(p, rand_dataset(1, 30), epochs=1, lr=1e-3, seed=9)
+    assert q is p
+    assert all(p.tensors[k] is arrays[k] for k in arrays)
+    assert not np.array_equal(p.w1, w1)
+
+
+@pytest.mark.parametrize("spoil", ["read-only", "not C-contiguous"])
+def test_train_refuses_a_tensor_it_cannot_update_in_place(spoil):
+    p = init_params(6)
+    if spoil == "read-only":
+        p.w2.flags.writeable = False
+    else:
+        p.tensors["w2"] = np.asfortranarray(p.w2)
+    with pytest.raises(ValueError, match="w2"):
+        train(p, rand_dataset(2, 10), epochs=1, lr=1e-3, seed=0)
+    assert np.array_equal(p.w1, init_params(6).w1)
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_train_holds_one_set_of_parameter_sized_buffers(augment):
+    # the parameters are the caller's; train adds two moments and one
+    # step's gradients (the previous step's are dropped first), plus one
+    # batch and its activations: under 4x the parameter bytes, over three steps
+    from robridge.augment import AugmentConfig
+    p = init_params(11)
+    ds = rand_dataset(3, 40)
+    param_bytes = sum(v.nbytes for v in p.tensors.values())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(p, ds, epochs=1, lr=1e-3, seed=0, batch_size=16,
+              augment_cfg=AugmentConfig() if augment else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / param_bytes < 4.0
 
 
 def test_train_deterministic():
@@ -206,6 +251,18 @@ def test_checkpoint_fingerprint_guard(tmp_path):
     with pytest.raises(CheckpointError, match="fingerprint"):
         load_params(path)
     assert len(ARCH_FINGERPRINT) == 16
+
+
+@pytest.mark.parametrize("name", ["w1", "b1", "b4"])
+def test_checkpoint_truncated_inside_a_tensor_names_it(tmp_path, name):
+    path = tmp_path / "policy.bin"
+    save_params(init_params(12), path)
+    names = [k for k, _ in _SHAPES]
+    offset = len(b"RBPOLICY") + 4 + len(ARCH_FINGERPRINT) + sum(
+        4 * int(np.prod(shape)) for _, shape in _SHAPES[:names.index(name)])
+    path.write_bytes(path.read_bytes()[:offset + 2])
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint at {name}$"):
+        load_params(path)
 
 
 def test_dataset_from_trajectories_excludes_reach():
