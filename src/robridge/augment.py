@@ -5,6 +5,13 @@ and positional jitter. Every operator is a pure function of (input,
 parameters, seed), and zero magnitude is a bit-exact identity. Scene-level
 randomization for the expert stage (object shape, arm placement, camera)
 lives in tasks.ExpertRandomization, not here.
+
+The blur and the smoothing of the warp field are one separable
+correlation (``_separable``) with reflect borders, summed in the order
+scipy.ndimage.correlate1d sums a symmetric kernel: the centre pixel times
+the centre weight, then (left + right) times their weight, pair by pair
+from the farthest in. So they give the bits of scipy's convolve1d and
+gaussian_filter without importing scipy.
 """
 
 from __future__ import annotations
@@ -15,19 +22,56 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
-from .observation import ObsTensor
+from .observation import ObsTensor, _components
 from .util import rng_for, rng_streams
 
 HOLE_RADIUS = 3  # px
-# depth images augmented in one pass: 12 keep each (n, h, w) float64
+# depth images warped in one pass: 12 keep each (n, h, w) float64
 # temporary under 100 KB
 _DEPTH_CHUNK = 12
 # (row, col) offsets of the pixels one hole covers around its centre
 _DISC = np.array([(di, dj) for di in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
                   for dj in range(-HOLE_RADIUS, HOLE_RADIUS + 1)
                   if di * di + dj * dj <= HOLE_RADIUS ** 2])
+
+
+def _reflect(n: int, r: int) -> np.ndarray:
+    """Source index of each position -r .. n + r - 1 of a line of n pixels
+    under the reflect border (d c b a | a b c d | d c b a), which repeats
+    with period 2n, so r may exceed n."""
+    i = np.arange(-r, n + r) % (2 * n)
+    return np.minimum(i, 2 * n - 1 - i)
+
+
+def _separable(imgs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Correlate float64 images (..., h, w) with symmetric weights
+    (..., 2r + 1), down the columns and then along the rows, with reflect
+    borders. The weights' leading axes broadcast against the images', so
+    each image can have its own kernel. Each pixel is summed as
+    correlate1d sums it: centre times w[r], then for j = r .. 1,
+    += (left_j + right_j) * w[r - j]."""
+    r = weights.shape[-1] // 2
+    out = imgs
+    for axis in (-2, -1):
+        n = out.shape[axis]
+        ext = out.take(_reflect(n, r), axis=axis)
+        tail = (slice(None),) * (-1 - axis)
+
+        def tap(j):
+            return ext[(..., slice(r + j, r + j + n), *tail)]
+
+        out = tap(0) * weights[..., r, None, None]
+        for j in range(r, 0, -1):
+            out += (tap(-j) + tap(j)) * weights[..., r - j, None, None]
+    return out
+
+
+# the warp field's smoothing: gaussian_filter's kernel at sigma 2,
+# truncated at 2 sigma (radius 4), computed as scipy computes it
+_WARP_KERNEL = np.exp(-0.5 / (2.0 * 2.0) * np.arange(-4, 5) ** 2)
+_WARP_KERNEL = _WARP_KERNEL / _WARP_KERNEL.sum()
+_WARP_KERNEL.flags.writeable = False
 
 
 @lru_cache(maxsize=4)
@@ -120,14 +164,28 @@ def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
 
 def _warp_block(depth: np.ndarray, disp: np.ndarray, mag: float) -> np.ndarray:
     """Resample each image of depth (n, h, w) float64 through its field in
-    disp (n, 2, h, w): raw normals, smoothed and scaled to std mag in place."""
+    disp (n, 2, h, w): raw normals, which it smooths and scales to std mag."""
     n, h, w = depth.shape
-    ndimage.gaussian_filter(disp, sigma=(0.0, 0.0, 2.0, 2.0), mode="reflect",
-                            truncate=2.0, output=disp)
+    disp = _separable(disp, _WARP_KERNEL)
     std = disp.reshape(n, -1).std(axis=1)
     disp *= np.divide(mag, std, out=np.ones_like(std), where=std > 0)[:, None, None, None]
     rr, cc = _pixel_grid((h, w))
     return _bilinear(depth, rr + disp[:, 0], cc + disp[:, 1])
+
+
+def _blur_block(depth: np.ndarray, sigmas: np.ndarray) -> None:
+    """Blur each image of depth (n, h, w) float64 in place with a Gaussian
+    of its own sigma, truncated at radius max(1, ceil(3 sigma)) and
+    normalized to sum 1; a sigma of 0 leaves its image alone. Images that
+    share a radius are blurred in one pass."""
+    radius = np.maximum(1, np.ceil(3.0 * sigmas)).astype(np.int64)
+    radius[sigmas == 0.0] = 0
+    for r in np.unique(radius[radius > 0]).tolist():
+        idx = np.flatnonzero(radius == r)
+        t = np.arange(-r, r + 1, dtype=np.float64)
+        k = np.exp(-0.5 * (t / sigmas[idx, None]) ** 2)
+        k /= k.sum(axis=1, keepdims=True)
+        depth[idx] = _separable(depth[idx], k)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -136,13 +194,9 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return img.copy()
-    r = max(1, int(math.ceil(3.0 * sigma)))
-    t = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (t / sigma) ** 2)
-    k /= k.sum()
-    out = ndimage.convolve1d(img.astype(np.float64), k, axis=0, mode="reflect")
-    out = ndimage.convolve1d(out, k, axis=1, mode="reflect")
-    return out.astype(img.dtype) if img.dtype.kind == "f" else out
+    out = img.astype(np.float64)[None]
+    _blur_block(out, np.array([float(sigma)]))
+    return out[0].astype(img.dtype) if img.dtype.kind == "f" else out[0]
 
 
 @lru_cache(maxsize=16)
@@ -224,13 +278,14 @@ def add_blob(mask: np.ndarray, seed: int) -> np.ndarray:
 
 
 def delete_component(mask: np.ndarray, seed: int) -> np.ndarray:
-    labels, n = ndimage.label(mask)
-    if n == 0:
+    """Clear one 4-connected component of the mask, drawn from the seed."""
+    found = _components(mask)
+    if found.n == 0:
         return mask.copy()
     rng = rng_for(seed, "delete-component")
-    victim = int(rng.integers(1, n + 1))
+    victim = int(rng.integers(1, found.n + 1))
     out = mask.copy()
-    out[labels == victim] = False
+    out[found.labels == victim] = False
     return out
 
 
@@ -274,11 +329,12 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
 
     Each row draws its own random streams, keyed on its seed, per channel
     and per corruption ("mask-jitter", "depth-warp", "sigma", "holes"),
-    and the image work runs over many images at once: all 3B masks, and
-    the depth images _DEPTH_CHUNK at a time, which bounds the temporaries.
-    Only the blur goes image by image, since each image draws its own
-    sigma. The streams are seeded a stage at a time over the whole block
-    (util.rng_streams), and each stage's draws come in image order.
+    and the image work runs over many images at once: all 3B masks, the
+    depth warp _DEPTH_CHUNK images at a time, which bounds its temporaries,
+    and the blur over all live depth images, grouped by kernel radius,
+    since each image draws its own sigma. The streams are seeded a stage
+    at a time over the whole block (util.rng_streams), and each stage's
+    draws come in image order.
 
     A depth image whose every bit is zero comes out of warp, blur, holes
     and clip as it went in, so it gets neither work nor streams; each
@@ -306,8 +362,10 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     holes = 0.0 < cfg.hole_rate < 1.0
     if holes:
         n_holes = expected_hole_count((h, w), cfg.hole_rate)
+        # shaped even when no depth image is live
         centers = np.array([rng.integers(0, (h, w), size=(n_holes, 2))
-                            for rng in rng_streams((s, "holes") for s in hole_seeds)])
+                            for rng in rng_streams((s, "holes") for s in hole_seeds)],
+                           dtype=np.int64).reshape(len(live), n_holes, 2)
     # the warp normals are drawn pass by pass below
     warp = rng_streams((s, "depth-warp") for s in warp_seeds)
 
@@ -315,21 +373,20 @@ def augment_grids(grids: np.ndarray, seeds, cfg: AugmentConfig) -> np.ndarray:
     out[:, :3] = masks.reshape(b, 3, h, w)
     rows, chans = np.divmod(live, 3)
     chans += 3
-    for lo in range(0, len(live), _DEPTH_CHUNK):
-        imgs = slice(lo, lo + _DEPTH_CHUNK)
-        depth = out[rows[imgs], chans[imgs]].astype(np.float64)
-        if cfg.warp_mag:
-            disp = np.empty((len(depth), 2, h, w))
-            for k in range(len(depth)):
+    depth = out[rows, chans].astype(np.float64)
+    if cfg.warp_mag:
+        for lo in range(0, len(live), _DEPTH_CHUNK):
+            chunk = depth[lo:lo + _DEPTH_CHUNK]
+            disp = np.empty((len(chunk), 2, h, w))
+            for k in range(len(chunk)):
                 next(warp).standard_normal(out=disp[k])
-            depth = _warp_block(depth, disp, cfg.warp_mag)
-        for k in np.flatnonzero(sigmas[imgs]):
-            depth[k] = gaussian_blur(depth[k], float(sigmas[imgs][k]))
-        if holes:
-            depth[_hole_mask(centers[imgs], (h, w))] = 0
-        elif cfg.hole_rate >= 1.0:
-            depth[:] = 0
-        out[rows[imgs], chans[imgs]] = np.clip(depth, 0.0, None).astype(np.float32)
+            chunk[:] = _warp_block(chunk, disp, cfg.warp_mag)
+    _blur_block(depth, sigmas)
+    if holes:
+        depth[_hole_mask(centers, (h, w))] = 0
+    elif cfg.hole_rate >= 1.0:
+        depth[:] = 0
+    out[rows, chans] = np.clip(depth, 0.0, None).astype(np.float32)
     return out
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .util import rng_for
 from .world import (
@@ -196,15 +195,35 @@ def _resolve(name: str, table: dict[str, int]) -> int:
     return table[name]
 
 
+def _square(mask: np.ndarray, r: int, op) -> np.ndarray:
+    """``op`` (np.logical_or or np.logical_and) over each pixel's
+    (2r+1)-square window, with the image surrounded by False: a dilation,
+    or an erosion that clears every pixel within r of the border, as scipy's
+    binary_dilation and binary_erosion do with their default border_value 0.
+    The square is separable, so columns are folded first, then rows."""
+    h, w = mask.shape
+    padded = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
+    padded[r:r + h, r:r + w] = mask
+    cols = padded[:h].copy()
+    for k in range(1, 2 * r + 1):
+        op(cols, padded[k:k + h], out=cols)
+    out = cols[:, :w].copy()
+    for k in range(1, 2 * r + 1):
+        op(out, cols[:, k:k + w], out=out)
+    return out
+
+
 def _morph(mask: np.ndarray, noise: GroundingNoise, rng) -> np.ndarray:
+    """Grounding-noise morphology: a dilation, then an erosion, each by a
+    square of a drawn radius (0 leaves the mask as it is)."""
     if noise.dilate_px > 0:
         r = int(rng.integers(0, noise.dilate_px + 1))
         if r:
-            mask = ndimage.binary_dilation(mask, structure=np.ones((2 * r + 1, 2 * r + 1), bool))
+            mask = _square(mask, r, np.logical_or)
     if noise.erode_px > 0:
         r = int(rng.integers(0, noise.erode_px + 1))
         if r:
-            mask = ndimage.binary_erosion(mask, structure=np.ones((2 * r + 1, 2 * r + 1), bool))
+            mask = _square(mask, r, np.logical_and)
     return mask
 
 

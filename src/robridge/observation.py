@@ -10,12 +10,18 @@ construction.
 A lightweight geometric tracker follows the channels every tick on the
 identity-erased foreground: each channel re-associates to the connected
 component whose centroid is nearest its previous centroid. Components are
-labelled on the bounding box of the foreground only, which keeps the raster
-order and so the label numbers and centroids of a full-image labelling.
-Each view's labelling is kept with the foreground it was made from, and a
-tick whose foreground equals the kept one reuses it: a vertical move, a
-grasp or a press changes depth and paint order but not the top-down
-foreground. The association itself runs every tick.
+found from the foreground's row runs (run-based labelling, He, Chao &
+Suzuki, IEEE TIP 2008): each run links to the first run it touches in the
+row above, pointer jumping takes every run to its topmost ancestor, and
+the roots are merged only where a run touches two or more runs above.
+Components are numbered by their first pixel in raster order, as
+``scipy.ndimage.label`` numbers them, and their centroids come from exact
+integer run sums. The label map is painted from the runs on first read,
+since only tensor builds read it. Each view's labelling is kept with the
+foreground it was made from, and a tick whose foreground equals the kept
+one reuses it: a vertical move, a grasp or a press changes depth and
+paint order but not the top-down foreground. The association itself runs
+every tick.
 ``track_update`` does the association alone (centroids and lost flags,
 which the status check reads). ``build`` (from a grounding) and
 ``tracked_observation`` (from a tick's association, for whoever reads the
@@ -30,9 +36,9 @@ those of per-channel ``mean`` calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .hcp import PRIMITIVE_TYPES, Grounding, PrimitiveAction
 from .util import clip_unit
@@ -71,12 +77,22 @@ class ChannelTrack:
 
 @dataclass(frozen=True)
 class Labelling:
-    """A view's foreground and its connected components, as ``_components``
+    """A view's foreground and its 4-connected components, as ``_components``
     returns them. Kept across ticks and shared, so the arrays are read-only."""
     foreground: np.ndarray             # (h, w) bool
-    labels: np.ndarray                 # (h, w) int32, 0 off the foreground
     n: int
     centroids: np.ndarray              # (n, 2) (row, col)
+    run_labels: np.ndarray             # (k,) int32, label of each row run in raster order
+    run_lengths: np.ndarray            # (k,) int64, pixels in each run
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """(h, w) int32 label map, 0 off the foreground, painted on first read."""
+        labels = np.zeros(self.foreground.shape, dtype=np.int32)
+        labels.ravel()[np.flatnonzero(self.foreground)] = np.repeat(
+            self.run_labels, self.run_lengths)
+        labels.flags.writeable = False
+        return labels
 
 
 @dataclass
@@ -193,30 +209,66 @@ def _associate(track: ChannelTrack, n: int, centroids: np.ndarray,
     return ChannelTrack(centroids[best].copy(), component=best + 1)
 
 
-# 4-connectivity, ndimage.label's default, built once instead of per call
-_CONNECTIVITY = ndimage.generate_binary_structure(2, 1)
+def _jump(parent: np.ndarray, times: int) -> np.ndarray:
+    """Pointer jumping: after ``times`` rounds each entry has moved 2**times
+    links up its chain of earlier runs, or stopped at its root."""
+    for _ in range(times):
+        parent = parent[parent]
+    return parent
 
 
-def _components(foreground: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Labels (4-connected, numbered as ndimage.label numbers them), count
-    and (row, col) centroids of the foreground's connected components."""
-    flat, rows, cols = _pixel_indices(foreground)
-    labels = np.zeros(foreground.shape, dtype=np.int32)
-    if flat.size == 0:
-        return labels, 0, np.zeros((0, 2))
-    # label only the foreground's bounding box: the crop keeps the raster
-    # order of the foreground pixels, so every label number is unchanged
-    r0, r1 = rows[0], rows[-1] + 1
-    c0, c1 = cols.min(), cols.max() + 1
-    box = labels[r0:r1, c0:c1]
-    n = ndimage.label(foreground[r0:r1, c0:c1], structure=_CONNECTIVITY, output=box)
-    # one pass over the foreground pixels; the per-label sums are sums of
-    # integer coordinates, exact in float64, so summation order is irrelevant
-    lab = labels.ravel()[flat]
-    counts = np.bincount(lab, minlength=n + 1)[1:]
-    row_sums = np.bincount(lab, weights=rows, minlength=n + 1)[1:]
-    col_sums = np.bincount(lab, weights=cols, minlength=n + 1)[1:]
-    return labels, n, np.stack([row_sums / counts, col_sums / counts], axis=1)
+def _components(foreground: np.ndarray) -> Labelling:
+    """The 4-connected components of a 2-D foreground, numbered and
+    centred as ndimage.label and its label sums would give them."""
+    h, w = foreground.shape
+    # one False column closes each row, so no run crosses a row end; the
+    # runs are the (start, end) pairs of edges in raster order, as
+    # positions in a (h, w + 1) layout
+    stride = w + 1
+    line = np.zeros(h * stride + 1, dtype=bool)
+    line[1:].reshape(h, stride)[:, :w] = foreground
+    edges = np.flatnonzero(line[1:] != line[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    k = starts.size
+    # the runs of the row above that touch a run are those that end after
+    # it starts and start before it ends, once moved down a row
+    first = np.searchsorted(ends, starts - stride, side="right")
+    stop = np.searchsorted(starts, ends - stride, side="left")
+    runs = np.arange(k)
+    parent = np.where(first < stop, first, runs)
+    # a chain of first links climbs one row a link
+    rows = starts // stride
+    depth = int(rows[-1] - rows[0]) if k else 0
+    parent = _jump(parent, depth.bit_length())
+    multi = np.flatnonzero(stop - first > 1)
+    if multi.size:
+        # a run touching several runs above joins their trees: hook each
+        # larger root onto the smaller until every such pair shares a root
+        extra = stop[multi] - first[multi] - 1
+        a = np.repeat(first[multi], extra)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(extra) - extra, extra)
+        while True:
+            ra, rb = parent[a], parent[b]
+            if np.array_equal(ra, rb):
+                break
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            parent = _jump(parent, k.bit_length())
+    # every root is its component's first run, so numbering the roots in
+    # run order numbers the components by their first pixel
+    root = parent == runs
+    n = int(np.count_nonzero(root))
+    run_labels = np.cumsum(root, dtype=np.int32)[parent]
+    # per-run sums of integer coordinates, exact in float64
+    length = ends - starts
+    col0 = starts - rows * stride
+    counts = np.bincount(run_labels, weights=length, minlength=n + 1)[1:]
+    row_sums = np.bincount(run_labels, weights=rows * length, minlength=n + 1)[1:]
+    col_sums = np.bincount(run_labels, weights=(2 * col0 + length - 1) * length // 2,
+                           minlength=n + 1)[1:]
+    centroids = np.stack([row_sums / counts, col_sums / counts], axis=1)
+    for arr in (centroids, run_labels, length):
+        arr.flags.writeable = False
+    return Labelling(foreground, n, centroids, run_labels, length)
 
 
 def _labelling(instance: np.ndarray, kept: Labelling | None) -> Labelling:
@@ -225,10 +277,8 @@ def _labelling(instance: np.ndarray, kept: Labelling | None) -> Labelling:
     foreground = instance != 0
     if kept is not None and np.array_equal(foreground, kept.foreground):
         return kept
-    labels, n, centroids = _components(foreground)
-    for a in (foreground, labels, centroids):
-        a.flags.writeable = False
-    return Labelling(foreground, labels, n, centroids)
+    foreground.flags.writeable = False
+    return _components(foreground)
 
 
 def track_update(tracker: TrackerState, frame: Frame) -> TrackerState:

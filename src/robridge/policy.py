@@ -330,14 +330,18 @@ def save_params(params: PolicyParams, path) -> None:
 def load_params(path) -> PolicyParams:
     """Read a save_params checkpoint, each tensor straight into its own
     array (no intermediate bytes object); CheckpointError on a wrong magic,
-    version or fingerprint, or at the first tensor the file cuts short."""
+    a version field cut short or unsupported, a wrong fingerprint (whatever
+    its bytes), or at the first tensor the file cuts short."""
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"{path}: not a policy checkpoint")
-        (ver,) = struct.unpack("<I", f.read(4))
+        raw = f.read(4)
+        if len(raw) != 4:
+            raise CheckpointError(f"{path}: truncated checkpoint at version")
+        (ver,) = struct.unpack("<I", raw)
         if ver != SCHEMA_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {ver}")
-        fp = f.read(len(ARCH_FINGERPRINT)).decode("ascii")
+        fp = f.read(len(ARCH_FINGERPRINT)).decode("ascii", errors="backslashreplace")
         if fp != ARCH_FINGERPRINT:
             raise CheckpointError(
                 f"{path}: architecture fingerprint {fp} != expected {ARCH_FINGERPRINT}")

@@ -3,8 +3,10 @@
 The reference below is the per-operator composition the suite is defined
 by: mask_jitter -> depth_warp -> gaussian_blur -> random_holes, one tensor
 at a time, written with the plain single-image formulas (2-D fancy-index
-bilinear sampling, scipy binary dilation, slice shifts and crops, a
-broadcast disc test). augment_grids must reproduce it byte for byte.
+bilinear sampling, scipy's gaussian_filter, convolve1d, binary_dilation
+and label, slice shifts and crops, a broadcast disc test). augment_grids
+must reproduce it byte for byte. scipy is the tests' oracle here: the
+program itself runs on numpy alone.
 """
 
 import math
@@ -17,7 +19,9 @@ from scipy import ndimage
 from robridge.augment import (
     HOLE_RADIUS,
     AugmentConfig,
+    _WARP_KERNEL,
     _pixel_grid,
+    _separable,
     add_blob,
     apply_suite,
     augment_grids,
@@ -54,6 +58,27 @@ def ref_depth_warp(depth, mag, seed):
         disp *= mag / std
     rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     return ref_bilinear(depth.astype(np.float64), rr + disp[0], cc + disp[1])
+
+
+def ref_gaussian_blur(img, sigma):
+    if sigma == 0.0:
+        return img.copy()
+    r = max(1, int(math.ceil(3.0 * sigma)))
+    t = np.arange(-r, r + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (t / sigma) ** 2)
+    k /= k.sum()
+    out = ndimage.convolve1d(img, k, axis=0, mode="reflect")
+    return ndimage.convolve1d(out, k, axis=1, mode="reflect")
+
+
+def ref_delete_component(mask, seed):
+    labels, n = ndimage.label(mask)
+    if n == 0:
+        return mask.copy()
+    victim = int(rng_for(seed, "delete-component").integers(1, n + 1))
+    out = mask.copy()
+    out[labels == victim] = False
+    return out
 
 
 def ref_random_holes(img, rate, seed):
@@ -99,7 +124,7 @@ def ref_mask_jitter(mask, cfg, seed):
             m[:, m.shape[1] - rt:] = False
     if cfg.segment_add_delete_p and rng.random() < cfg.segment_add_delete_p:
         sub = int(rng.integers(1 << 30))
-        m = add_blob(m, sub) if rng.random() < 0.5 else delete_component(m, sub)
+        m = add_blob(m, sub) if rng.random() < 0.5 else ref_delete_component(m, sub)
     return m
 
 
@@ -111,7 +136,7 @@ def ref_suite(grid, cfg, seed):
     for c in range(3):
         d = grid[3 + c].astype(np.float64)
         d = ref_depth_warp(d, cfg.warp_mag, seeds[3 + c])
-        d = gaussian_blur(d, float(rng_for(seeds[6 + c], "sigma").uniform(0.0, cfg.blur_sigma)))
+        d = ref_gaussian_blur(d, float(rng_for(seeds[6 + c], "sigma").uniform(0.0, cfg.blur_sigma)))
         d = ref_random_holes(d, cfg.hole_rate, seeds[9 + c])
         grid[3 + c] = np.clip(d, 0.0, None).astype(np.float32)
     return grid
@@ -185,6 +210,71 @@ def test_named_configs_match_reference(cfg):
     out = augment_grids(grids, seeds, cfg)
     for i in range(7):
         assert out[i].tobytes() == ref_suite(grids[i], cfg, seeds[i]).tobytes(), i
+
+
+@pytest.mark.parametrize("cfg", NAMED_CONFIGS)
+def test_block_without_live_depth_images(cfg):
+    # every depth image blank (+0.0): masks are still jittered, depth
+    # passes through untouched
+    grids = rand_grids(5, 4, blank=1.0)
+    grids[:, 3:6] = 0.0
+    out = augment_grids(grids, [1, 2, 3, 4], cfg)
+    assert out[:, 3:].tobytes() == grids[:, 3:].tobytes()
+    for i in range(4):
+        assert out[i].tobytes() == ref_suite(grids[i], cfg, i + 1).tobytes(), i
+
+
+def filter_images():
+    """Random float64 images of 1 to 12 pixels a side, some scaled to
+    extremes, with -0.0 pixels mixed in."""
+    return st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+                     st.sampled_from([1.0, 1e-300, 1e300]), st.floats(0.0, 0.8)).map(
+        lambda a: _signed_zeros(np.random.default_rng(a[2]), (a[0], a[1]), a[3], a[4]))
+
+
+def _signed_zeros(rng, shape, scale, zeros):
+    img = rng.standard_normal(shape) * scale
+    img[rng.random(shape) < zeros] = -0.0
+    img[rng.random(shape) < zeros / 2] = 0.0
+    return img
+
+
+@settings(max_examples=150, deadline=None)
+@given(img=filter_images(), sigma=st.floats(0.01, 6.0))
+def test_gaussian_blur_matches_convolve1d(img, sigma):
+    # radii up to 18 on images of 1 to 12 pixels: the reflect border
+    # repeats the image several times over
+    assert gaussian_blur(img, sigma).tobytes() == ref_gaussian_blur(img, sigma).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), img=filter_images(), seed=st.integers(0, 2**32 - 1))
+def test_warp_smoothing_matches_gaussian_filter(n, img, seed):
+    h, w = img.shape
+    rng = np.random.default_rng(seed)
+    disp = _signed_zeros(rng, (n, 2, h, w), 1.0, 0.3)
+    disp[0, 0] = img
+    ref = ndimage.gaussian_filter(disp, sigma=(0.0, 0.0, 2.0, 2.0), mode="reflect", truncate=2.0)
+    assert _separable(disp, _WARP_KERNEL).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3), (32, 32)])
+def test_filters_on_tiny_images_match_scipy(shape):
+    rng = np.random.default_rng(1)
+    img = _signed_zeros(rng, shape, 1.0, 0.3)
+    for sigma in (0.2, 1.0, 2.5, 7.0):
+        assert gaussian_blur(img, sigma).tobytes() == ref_gaussian_blur(img, sigma).tobytes()
+    disp = _signed_zeros(rng, (3, 2, *shape), 1.0, 0.3)
+    ref = ndimage.gaussian_filter(disp, sigma=(0.0, 0.0, 2.0, 2.0), mode="reflect", truncate=2.0)
+    assert _separable(disp, _WARP_KERNEL).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0),
+       shape=st.tuples(st.integers(1, 20), st.integers(1, 20)), edit=st.integers(0, 2**30))
+def test_delete_component_matches_label(seed, density, shape, edit):
+    mask = np.random.default_rng(seed).random(shape) < density
+    assert np.array_equal(delete_component(mask, edit), ref_delete_component(mask, edit))
 
 
 def test_apply_suite_is_one_row_of_the_block():

@@ -30,7 +30,7 @@ from robridge.harness import (
 )
 from robridge.hcp import GroundingNoise, StatusNoise
 from robridge.loop import ExpertAsPolicy, FaultConfig, LoopConfig, run_episode
-from robridge.policy import Dataset
+from robridge.policy import Dataset, init_params, save_params
 from robridge.tasks import ExpertRandomization
 
 
@@ -607,6 +607,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert exc.value.code == 2
     assert cli_main(["collect", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / "manifest.json").exists()
+    # a checkpoint whose header is cut inside the version, or whose
+    # fingerprint is not ASCII, is a checkpoint error
+    good = tmp_path / "good.bin"
+    save_params(init_params(0), good)
+    header = len(b"RBPOLICY") + 4
+    for name, raw in (("cut.bin", good.read_bytes()[:10]),
+                      ("nonascii.bin", good.read_bytes()[:header] + b"\xff" * 16
+                       + good.read_bytes()[header + 16:])):
+        (tmp_path / name).write_bytes(raw)
+        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint",
+                         str(tmp_path / name), "--out", str(tmp_path / "x")]) == 2
+        assert name in capsys.readouterr().err
     # ROBRIDGE_OUT fallback
     monkeypatch.setenv("ROBRIDGE_OUT", str(tmp_path / "envout"))
     assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", "zero"]) == 0

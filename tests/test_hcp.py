@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from conftest import gripper_to
 from robridge import hcp
@@ -236,3 +237,56 @@ def test_external_planner_pipe(tmp_path):
     client = ExternalPlannerClient(f"pipe:python3 {script}", deadline_s=30.0)
     actions = client._parse_reply(client._exchange("{}"))
     assert actions == [PrimitiveAction("reach", "white marker")]
+
+
+class Draws:
+    """Stands in for the grounding rng: integers() returns the given
+    values in turn, each inside the range asked for."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def integers(self, lo, hi):
+        value = self.values.pop(0)
+        assert lo <= value < hi
+        return value
+
+
+def border_masks():
+    """Random masks of 1 to 24 pixels a side whose outermost rows and
+    columns are set more often than the rest, so windows cross the border."""
+    def paint(args):
+        h, w, seed, density = args
+        rng = np.random.default_rng(seed)
+        mask = rng.random((h, w)) < density
+        mask[[0, -1]] |= rng.random((2, w)) < 0.7
+        mask[:, [0, -1]] |= rng.random((h, 2)) < 0.7
+        return mask
+    return st.tuples(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
+                     st.floats(0.0, 1.0)).map(paint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask=border_masks(), dilate=st.integers(0, 3), erode=st.integers(0, 3))
+def test_morph_matches_scipy_binary_morphology(mask, dilate, erode):
+    noise = GroundingNoise(dilate_px=3, erode_px=3)
+    ref = mask
+    if dilate:
+        ref = ndimage.binary_dilation(ref, structure=np.ones((2 * dilate + 1,) * 2, bool))
+    if erode:
+        ref = ndimage.binary_erosion(ref, structure=np.ones((2 * erode + 1,) * 2, bool))
+    before = mask.copy()
+    out = hcp._morph(mask, noise, Draws(dilate, erode))
+    assert out.dtype == bool and np.array_equal(out, ref)
+    assert np.array_equal(mask, before)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_morph_full_and_single_pixel_masks(r):
+    square = np.ones((2 * r + 1,) * 2, bool)
+    for mask in (np.ones((9, 7), bool), np.eye(1, dtype=bool), np.ones((1, 12), bool),
+                 np.pad(np.ones((3, 3), bool), 4)):
+        dilated = hcp._morph(mask, GroundingNoise(dilate_px=r), Draws(r))
+        eroded = hcp._morph(mask, GroundingNoise(erode_px=r), Draws(r))
+        assert np.array_equal(dilated, ndimage.binary_dilation(mask, structure=square))
+        assert np.array_equal(eroded, ndimage.binary_erosion(mask, structure=square))

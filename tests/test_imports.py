@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import robridge
@@ -69,3 +72,50 @@ def test_no_unused_parameters():
     allowed = {"harness.cmd_eval(jobs)"}
     found = [u for p in sorted(SRC.glob("*.py")) for u in unused_parameters(p)]
     assert [u for u in found if u not in allowed] == []
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Every import of scipy in the module, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_program_does_not_import_scipy():
+    # scipy is a test dependency: the program runs on numpy alone
+    assert [i for p in sorted(SRC.rglob("*.py")) for i in scipy_imports(p)] == []
+
+
+# Runs in a fresh interpreter: the harness import, a scripted-expert
+# episode with grounding dilation and erosion, a learned-policy episode
+# (tensor builds read the label map), and one augmented training step with
+# every mask edit a blob add or delete. Prints the scipy modules loaded.
+NUMPY_ONLY_RUN = """
+import sys
+import robridge.harness
+from robridge.augment import AugmentConfig
+from robridge.experts import rollout_expert
+from robridge.hcp import GroundingNoise
+from robridge.loop import ExpertAsPolicy, LoopConfig, NetPolicy, run_episode
+from robridge.policy import Dataset, init_params, train
+
+noisy = LoopConfig(grounding_noise=GroundingNoise(dilate_px=2, erode_px=2, seed=4))
+assert run_episode("pick-place", ExpertAsPolicy(), noisy, seed=3).ticks > 0
+assert run_episode("press-button", NetPolicy(init_params(0)), LoopConfig(max_ticks=30),
+                   seed=0).ticks > 0
+data = Dataset.from_trajectories([rollout_expert("press-button", 0)])
+train(init_params(1), data, 1, 1e-3, seed=0, batch_size=len(data.grid),
+      augment_cfg=AugmentConfig(segment_add_delete_p=1.0))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_running_the_program_loads_numpy_alone():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

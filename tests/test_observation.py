@@ -277,9 +277,11 @@ def foreground_images():
 
 
 def assert_components_match_full_image_label(fg):
-    labels, n, cents = _components(fg)
+    found = _components(fg)
+    labels, n, cents = found.labels, found.n, found.centroids
     ref_labels, ref_n = ndimage.label(fg)
     assert n == ref_n
+    assert labels.dtype == np.int32
     assert np.array_equal(labels, ref_labels)
     if n == 0:
         assert cents.shape == (0, 2)
@@ -322,6 +324,98 @@ def sparse_canvases():
 @given(fg=sparse_canvases())
 def test_components_on_sparse_canvas_match_full_image_label(fg):
     assert_components_match_full_image_label(fg)
+
+
+def u_shape(h, w):
+    fg = np.zeros((h, w), dtype=bool)
+    fg[:, 0] = fg[:, -1] = fg[-1] = True
+    return fg
+
+
+def comb(teeth, h):
+    # teeth hang from a spine on the bottom row: every tooth's run tree
+    # only joins the others at the spine, which touches them all
+    fg = np.zeros((h, 2 * teeth - 1), dtype=bool)
+    fg[:, ::2] = True
+    fg[-1] = True
+    return fg
+
+
+def inverted_comb(teeth, h):
+    fg = comb(teeth, h)[::-1].copy()
+    fg[-1, 1::2] = True   # a second spine: the first row of merges feeds the next
+    return fg
+
+
+def spiral(n):
+    # a square spiral wall, one pixel wide with one-pixel gaps: a single
+    # component whose runs merge over and over as it winds inwards
+    fg = np.zeros((n, n), dtype=bool)
+    r0, c0, r1, c1 = 0, 0, n - 1, n - 1
+    while r0 <= r1 and c0 <= c1:
+        fg[r0, c0:c1 + 1] = True
+        fg[r0:r1 + 1, c1] = True
+        fg[r1, c0:c1 + 1] = True
+        fg[r0 + 2:r1 + 1, c0] = True
+        r0, c0, r1, c1 = r0 + 2, c0 + 2, r1 - 2, c1 - 2
+        if r0 <= r1:
+            fg[r0 - 1, c0 - 2] = False
+            fg[r0, c0 - 1] = True
+    return fg
+
+
+# one component whose third tree (first run at row 1) meets the second
+# tree at row 4 and the first at row 9: its root is hooked to two smaller
+# roots, so the merge takes a second round
+TWO_BRIDGES = np.array([[c == "#" for c in row] for row in """\
+#.#........
+#.#...#####
+#.#...#####
+#.#...#####
+#.#####...#
+#.........#
+#.........#
+#.........#
+#.........#
+###########""".splitlines()])
+
+
+# a 127-link chain of runs, the deepest pointer jumping a 128-row image
+# needs, with a second component whose first run comes between the chain's
+# root and its middle: a run left short of its root would take its label
+COLUMN_BESIDE_A_DOT = np.zeros((128, 3), dtype=bool)
+COLUMN_BESIDE_A_DOT[:, 0] = True
+COLUMN_BESIDE_A_DOT[1, 2] = True
+
+
+@pytest.mark.parametrize("fg", [
+    u_shape(5, 4), u_shape(40, 3), u_shape(1, 1), u_shape(2, 2),
+    comb(6, 5), comb(20, 1), inverted_comb(7, 4), spiral(9), spiral(31), spiral(64),
+    TWO_BRIDGES, TWO_BRIDGES[::-1].copy(), TWO_BRIDGES[:, ::-1].copy(),
+    np.ones((128, 1), dtype=bool), COLUMN_BESIDE_A_DOT,
+    np.eye(128, dtype=bool),                # 128 one-pixel components, none touching
+    np.ones((1, 40), dtype=bool), np.ones((40, 1), dtype=bool),
+    np.arange(40)[None, :] % 3 == 0, np.arange(40)[:, None] % 3 == 0,
+    np.zeros((0, 5), dtype=bool), np.zeros((5, 0), dtype=bool),
+    np.zeros((0, 0), dtype=bool), np.zeros((7, 9), dtype=bool), np.ones((7, 9), dtype=bool),
+], ids=lambda fg: f"{fg.shape[0]}x{fg.shape[1]}-{int(fg.sum())}")
+def test_components_of_named_shapes_match_label(fg):
+    assert_components_match_full_image_label(fg)
+
+
+def test_named_shapes_exercise_the_merge_step():
+    # the spiral and the combs are one component each, but only after roots merge
+    for fg in (spiral(31), comb(6, 5), inverted_comb(7, 4), TWO_BRIDGES, u_shape(5, 4)):
+        assert _components(fg).n == 1
+
+
+def test_label_map_is_painted_once_on_read():
+    fg = spiral(9)
+    found = _components(fg)
+    assert "labels" not in vars(found)
+    first = found.labels
+    assert found.labels is first and not first.flags.writeable
+    assert fg.flags.writeable           # the caller's mask is left as it was
 
 
 @settings(max_examples=60, deadline=None)

@@ -265,6 +265,27 @@ def test_checkpoint_truncated_inside_a_tensor_names_it(tmp_path, name):
         load_params(path)
 
 
+@pytest.mark.parametrize("cut", [8, 9, 10, 11])
+def test_checkpoint_truncated_inside_the_version_names_it(tmp_path, cut):
+    path = tmp_path / "policy.bin"
+    save_params(init_params(12), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(CheckpointError, match="truncated checkpoint at version$"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("fingerprint", [b"\xff" * 16, "pr\u00e9-v2-arch-x".encode()[:16], b"\xff"])
+def test_checkpoint_fingerprint_of_any_bytes_is_a_checkpoint_error(tmp_path, fingerprint):
+    # non-ASCII or cut short, the fingerprint is still just a wrong one
+    path = tmp_path / "policy.bin"
+    save_params(init_params(12), path)
+    raw = path.read_bytes()
+    pos = len(b"RBPOLICY") + 4
+    path.write_bytes(raw[:pos] + fingerprint + (raw[pos + 16:] if len(fingerprint) == 16 else b""))
+    with pytest.raises(CheckpointError, match="fingerprint"):
+        load_params(path)
+
+
 def test_dataset_from_trajectories_excludes_reach():
     t_interact = rand_obs(0)
     t_interact.vec[:9] = 0.0
