@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .hcp import _square
 from .observation import ObsTensor, _components
 from .util import rng_for, rng_streams
 
@@ -188,17 +189,6 @@ def _blur_block(depth: np.ndarray, sigmas: np.ndarray) -> None:
         depth[idx] = _separable(depth[idx], k)
 
 
-def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian with reflective borders; preserves total mass."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0.0:
-        return img.copy()
-    out = img.astype(np.float64)[None]
-    _blur_block(out, np.array([float(sigma)]))
-    return out[0].astype(img.dtype) if img.dtype.kind == "f" else out[0]
-
-
 @lru_cache(maxsize=16)
 def expected_hole_count(shape: tuple[int, int], rate: float) -> int:
     """Disc count giving expected covered fraction ~= rate under overlap."""
@@ -222,21 +212,6 @@ def _hole_mask(centers: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     hit = np.zeros(n * h * w, dtype=bool)
     hit[flat[inside]] = True
     return hit.reshape(n, h, w)
-
-
-def _dilate(masks: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Chebyshev-ball dilation of each mask (n, h, w) by its own radius:
-    radius r is r steps of the 3x3 square, which never cross the border."""
-    out = masks
-    for step in range(1, int(radius.max(initial=0)) + 1):
-        grown = out.copy()
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        wide = grown.copy()
-        wide[:, :, 1:] |= grown[:, :, :-1]
-        wide[:, :, :-1] |= grown[:, :, 1:]
-        out = np.where((radius >= step)[:, None, None], wide, out)
-    return out
 
 
 def _shift_zero_fill(masks: np.ndarray, dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -310,8 +285,10 @@ def _jitter_block(masks: np.ndarray, params: np.ndarray, edits) -> np.ndarray:
     """Jitter masks (n, h, w) bool, which it may overwrite, with each
     mask's drawn params (n, 7) and edit: dilate -> translate -> border
     crop -> occasional blob add/delete."""
-    if params[:, 0].any():
-        masks = _dilate(masks, params[:, 0])
+    for r in np.unique(params[:, 0]).tolist():
+        if r:
+            grow = params[:, 0] == r
+            masks[grow] = _square(masks[grow], r, np.logical_or)
     if params[:, 1:3].any():
         masks = _shift_zero_fill(masks, params[:, 1], params[:, 2])
     if params[:, 3:].any():

@@ -144,6 +144,8 @@ def init(stores: dict[str, DemoStore]) -> DaggerState:
 def _default_rollout(task_id: str, seed: int, policy_params: PolicyParams,
                      config: ExperimentConfig):
     """Closed-loop evaluation returning (reward, failed, kept ticks)."""
+    # imported here, so the call looks run_episode up in robridge.loop each
+    # time: the benchmark counts episodes and ticks by wrapping it there
     from .loop import NetPolicy, run_episode
     result = run_episode(task_id, NetPolicy(policy_params),
                          replace(config.loop, keep_ticks=True), seed=seed)

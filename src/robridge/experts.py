@@ -377,6 +377,8 @@ def rollout_expert(task: TaskSpec | str, seed: int,
                    randomization: ExpertRandomization | None = None) -> Trajectory:
     """Run the closed loop on the nominal suite with the scripted expert as
     the policy and record (tensor, action, reward) per tick."""
+    # imported here, so the call looks run_episode up in robridge.loop each
+    # time: the benchmark counts episodes and ticks by wrapping it there
     from .loop import ExpertAsPolicy, LoopConfig, run_episode
 
     if isinstance(task, str):

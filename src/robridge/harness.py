@@ -9,7 +9,7 @@ import json
 import logging
 import math
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -418,9 +418,9 @@ def cmd_replay(log_path: Path, out_dir: Path) -> dict:
     er = header.get("expert_rand")   # logs written before its fields hold true
     expert_rand = (ExpertRandomization(**er) if isinstance(er, dict)
                    else ExpertRandomization() if er else None)
-    world, _, cams = instantiate(header["task_id"], header["suite"], header["seed"], expert_rand)
-    cam3, cam1 = cams
-    cam3.offset = tuple(header.get("camera_offset", cam3.offset))
+    world, _, (cam3, cam1) = instantiate(header["task_id"], header["suite"], header["seed"],
+                                         expert_rand)
+    cam3 = replace(cam3, offset=header.get("camera_offset", cam3.offset))
     frames_dir = out_dir / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
     timeline = []

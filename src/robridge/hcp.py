@@ -195,21 +195,22 @@ def _resolve(name: str, table: dict[str, int]) -> int:
     return table[name]
 
 
-def _square(mask: np.ndarray, r: int, op) -> np.ndarray:
+def _square(masks: np.ndarray, r: int, op) -> np.ndarray:
     """``op`` (np.logical_or or np.logical_and) over each pixel's
-    (2r+1)-square window, with the image surrounded by False: a dilation,
-    or an erosion that clears every pixel within r of the border, as scipy's
-    binary_dilation and binary_erosion do with their default border_value 0.
-    The square is separable, so columns are folded first, then rows."""
-    h, w = mask.shape
-    padded = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
-    padded[r:r + h, r:r + w] = mask
-    cols = padded[:h].copy()
+    (2r+1)-square window of each mask in masks (..., h, w), with the image
+    surrounded by False: a dilation, or an erosion that clears every pixel
+    within r of the border, as scipy's binary_dilation and binary_erosion
+    do with their default border_value 0. The square is separable, so
+    columns are folded first, then rows."""
+    h, w = masks.shape[-2:]
+    padded = np.zeros((*masks.shape[:-2], h + 2 * r, w + 2 * r), dtype=bool)
+    padded[..., r:r + h, r:r + w] = masks
+    cols = padded[..., :h, :].copy()
     for k in range(1, 2 * r + 1):
-        op(cols, padded[k:k + h], out=cols)
-    out = cols[:, :w].copy()
+        op(cols, padded[..., k:k + h, :], out=cols)
+    out = cols[..., :w].copy()
     for k in range(1, 2 * r + 1):
-        op(out, cols[:, k:k + w], out=out)
+        op(out, cols[..., k:k + w], out=out)
     return out
 
 

@@ -16,7 +16,7 @@ the waypoint follower acts on reach ticks, the policy on all others.
 A retry revisits states: the motion-planned reach brings the gripper back
 to the same approach pose, and a deterministic policy then repeats its
 ticks. So an episode memoizes its tracked tensors on their inputs (the
-frame's geometry key, the gripper, the build's one-hot and direction, the
+frame's geometry, the gripper, the build's one-hot and direction, the
 tracks' components) and hands out the same read-only tensor for a repeated
 input, and ``NetPolicy`` reuses the action of a tensor it has seen. Both
 memos are small and bounded. The tick's reward and the final frame's digest
@@ -86,15 +86,15 @@ class NetPolicy:
 
     def __init__(self, params: PolicyParams):
         self.params = params
-        # id(tensor) -> (tensor, action); holding the tensor keeps its id
-        # from being reused while the entry lives
-        self._actions: dict[int, tuple[ObsTensor, np.ndarray]] = {}
+        self._actions: dict[ObsTensor, np.ndarray] = {}
 
     def act(self, ep: Episode) -> np.ndarray:
         x = ep.tensor
-        hit = self._actions.pop(id(x), None) or (x, forward(self.params, x))
-        _remember(self._actions, id(x), hit)
-        return hit[1].copy()
+        action = self._actions.pop(x, None)
+        if action is None:
+            action = forward(self.params, x)
+        _remember(self._actions, x, action)
+        return action.copy()
 
 
 class ExpertAsPolicy:
@@ -338,7 +338,7 @@ class Episode:
 
     def _tracked_tensor(self) -> ObsTensor:
         """The tracked tensor of this tick, keyed on everything
-        ``tracked_observation`` reads: the frame's maps (its geometry key),
+        ``tracked_observation`` reads: the frame's maps (its geometry),
         the gripper's pose and open flag, the build's one-hot and direction,
         and each track's component in the frame's labelling, which is a
         function of the maps."""

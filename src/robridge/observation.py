@@ -111,7 +111,9 @@ class TrackerState:
                 if t3.lost or t1.lost]
 
 
-@dataclass
+# compared and hashed by identity: an episode hands out one read-only
+# tensor per repeated input, and NetPolicy keys its actions on it
+@dataclass(eq=False)
 class ObsTensor:
     grid: np.ndarray                   # (7, 32, 32) float32
     vec: np.ndarray                    # (17,) float32

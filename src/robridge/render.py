@@ -19,16 +19,19 @@ cached on the appearance's colours and cell size.
 A body's pixel box and mask in a view depend only on its shape and pose,
 the camera and the view centre. The third view's centre is fixed for a
 whole episode, and the first view's is the gripper's xy. Both views take
-their footprints from one small bounded cache, so a body is not rasterized
-again while neither it nor the view centre moves in the plane: a vertical
-move, a grasp or a press repaints both views from the cache. Only the
-first view builds a height map; the third view needs its instance map alone.
+their footprints from one small bounded cache keyed on those values (a
+body's planar shape, the frozen camera, the centre), so a body is not
+rasterized again while neither it nor the view centre moves in the plane:
+a vertical move, a grasp or a press repaints both views from the cache.
+Only the first view builds a height map; the third view needs its instance
+map alone.
 
-One level up, the three maps are a function of the frame's geometry key
-(the bodies, both cameras and both view centres), which the frame carries.
-The maps of the last few keys are kept read-only, so a frame that redraws
-a recent geometry (a still scene, or a retry back at an earlier pose)
-shares its maps and rasterizes nothing; its tick and gripper are its own.
+One level up, the three maps are a function of the frame's geometry (the
+bodies, both cameras and both view centres), which the frame carries.
+The maps of the last few geometries are kept read-only, so a frame that
+redraws a recent geometry (a still scene, or a retry back at an earlier
+pose) shares its maps and rasterizes nothing; its tick and gripper are
+its own.
 """
 
 from __future__ import annotations
@@ -88,39 +91,50 @@ def world_to_pixel(cam: CameraConfig, center_xy, x: float, y: float) -> tuple[fl
     return row, col
 
 
-class _Body(NamedTuple):
-    """Flat-topped rasterizable body (entity footprint or the gripper)."""
-    ident: int | None
+class _Shape(NamedTuple):
+    """A footprint in ``in_footprint``'s argument order; with the camera and
+    the view centre, it is all a body's pixels in a view depend on."""
     kind: str
+    dims: tuple
     cx: float
     cy: float
     yaw: float
-    dims: tuple
-    top: float | None
-    color: tuple | None
+
+
+class _Body(NamedTuple):
+    """Flat-topped rasterizable body (entity footprint or the gripper)."""
+    ident: int
+    shape: _Shape
+    top: float
+    color: tuple
 
 
 def _bodies(world: WorldState) -> list[_Body]:
     out = []
     for e in world.entities:
         p = effective_pose(e)
-        out.append(_Body(e.id, e.kind, p[0], p[1], p[3],
-                         e.dims, p[2] + e.height, e.color))
+        out.append(_Body(e.id, _Shape(e.kind, e.dims, p[0], p[1], p[3]),
+                         p[2] + e.height, e.color))
     g = world.gripper
-    out.append(_Body(GRIPPER_ID, "box", g.pose[0], g.pose[1], g.pose[3],
-                     (GRIPPER_FOOT, GRIPPER_FOOT, GRIPPER_HEIGHT),
+    out.append(_Body(GRIPPER_ID, _Shape("box", (GRIPPER_FOOT, GRIPPER_FOOT, GRIPPER_HEIGHT),
+                                        g.pose[0], g.pose[1], g.pose[3]),
                      g.pose[2] + GRIPPER_HEIGHT, GRIPPER_COLOR))
     # paint in ascending top order so the highest surface wins each pixel
     out.sort(key=lambda b: (b.top, b.ident))
     return out
 
 
-def _footprint(body: _Body, cam: CameraConfig, center_xy):
-    """Pixel box (i0, i1, j0, j1) of a body in a view, and the body's mask
-    over that box; None when the box misses the view."""
+# a packaged scene has at most five bodies (four entities and the gripper),
+# so one tick looks up at most ten footprints over both views
+@lru_cache(maxsize=16)
+def _footprint(shape: _Shape, cam: CameraConfig, center_xy: tuple):
+    """Pixel box (i0, i1, j0, j1) of a footprint in a view, and its mask
+    over that box; None when the box misses the view. Cached, so the mask
+    is shared and read-only: a body is rasterized once while neither it nor
+    the view centre moves in the plane."""
     h, w = cam.resolution
-    r = footprint_radius(body) + cam.scale
-    r0, c0 = world_to_pixel(cam, center_xy, body.cx, body.cy)
+    r = footprint_radius(shape) + cam.scale
+    r0, c0 = world_to_pixel(cam, center_xy, shape.cx, shape.cy)
     # conservative pixel bounding box around the footprint
     pr = r / cam.scale + 1.0
     i0 = max(0, int(math.floor(r0 - pr)))
@@ -133,40 +147,18 @@ def _footprint(body: _Body, cam: CameraConfig, center_xy):
     ru, rv = _rotated_offsets(h, w, *cam.offset)
     x = center_xy[0] + cam.scale * ru[i0:i1, j0:j1]
     y = center_xy[1] + cam.scale * rv[i0:i1, j0:j1]
-    return i0, i1, j0, j1, in_footprint(body.kind, body.dims, body.cx, body.cy, body.yaw,
-                                        x, y)
+    mask = in_footprint(*shape, x, y)
+    mask.flags.writeable = False
+    return i0, i1, j0, j1, mask
 
 
-# a packaged scene has at most five bodies (four entities and the gripper),
-# so one tick looks up at most ten footprints over both views
-@lru_cache(maxsize=16)
-def _cached_footprint(kind, cx, cy, yaw, dims, view, offset, resolution, scale,
-                      center_x, center_y):
-    """_footprint of a body, keyed by everything it depends on; the mask
-    is shared, so read-only."""
-    body = _Body(None, kind, cx, cy, yaw, dims, None, None)
-    fp = _footprint(body, CameraConfig(view, offset, resolution, scale), (center_x, center_y))
-    if fp is not None:
-        fp[4].flags.writeable = False
-    return fp
-
-
-def _memoized_footprint(body: _Body, cam: CameraConfig, center_xy):
-    """_footprint from the cache: computed once while the body, the camera
-    and the view centre keep their planar poses. The top is not part of
-    the key, so a body moving only in height is a hit."""
-    return _cached_footprint(body.kind, body.cx, body.cy, body.yaw, tuple(body.dims),
-                             cam.view, tuple(cam.offset), tuple(cam.resolution),
-                             cam.scale, center_xy[0], center_xy[1])
-
-
-def _rasterize(bodies: list[_Body], cam: CameraConfig, center_xy,
+def _rasterize(bodies: tuple[_Body, ...], cam: CameraConfig, center_xy,
                height: np.ndarray | None = None) -> np.ndarray:
     """Instance map of the bodies painted in order; each body's top is
     painted into ``height`` too, when it is given."""
     inst = np.full(cam.resolution, BACKGROUND_ID, dtype=np.int32)
     for b in bodies:
-        fp = _memoized_footprint(b, cam, center_xy)
+        fp = _footprint(b.shape, cam, center_xy)
         if fp is None:
             continue
         i0, i1, j0, j1, m = fp
@@ -197,20 +189,16 @@ def _paint_rgb(inst3: np.ndarray, colors: list, look: Appearance) -> np.ndarray:
     return np.round(rgb * 255.0).astype(np.uint8)
 
 
-def _camera_key(cam: CameraConfig) -> tuple:
-    return cam.view, tuple(cam.offset), tuple(cam.resolution), cam.scale
-
-
 # the maps of the last few geometries rendered, about 112 KB each; within
 # an episode the cameras are fixed, so these are its most recent ticks'
 @lru_cache(maxsize=4)
-def _maps(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _maps(bodies: tuple[_Body, ...], cam3: CameraConfig, cam1: CameraConfig,
+          center3: tuple, center1: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Third-view instance map, first-view instance map and first-view
-    height map of a geometry key (see ``render``); shared, so read-only."""
-    bodies, cam3, cam1, center3, center1 = key
-    inst3 = _rasterize(bodies, CameraConfig(*cam3), center3)
-    height1 = np.zeros(cam1[2], dtype=np.float64)
-    inst1 = _rasterize(bodies, CameraConfig(*cam1), center1, height1)
+    height map of a geometry (see ``render``); shared, so read-only."""
+    inst3 = _rasterize(bodies, cam3, center3)
+    height1 = np.zeros(cam1.resolution, dtype=np.float64)
+    inst1 = _rasterize(bodies, cam1, center1, height1)
     for a in (inst3, inst1, height1):
         a.flags.writeable = False
     return inst3, inst1, height1
@@ -219,13 +207,11 @@ def _maps(key: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
     """Render both views; deterministic given (world, cameras).
 
-    The maps are a function of the frame's geometry key: the bodies, both
-    cameras and both view centres. A key seen a few renders ago (a still
-    scene, or a retry back at the same pose) takes its maps from a small
-    cache; the frame's tick and gripper are its own.
+    The maps are a function of the frame's geometry: the bodies, both
+    cameras and both view centres. A geometry seen a few renders ago (a
+    still scene, or a retry back at the same pose) takes its maps from a
+    small cache; the frame's tick and gripper are its own.
     """
-    cam3.validate()
-    cam1.validate()
     if cam3.view != "third" or cam1.view != "first":
         raise ValueError("render expects a third-view and a first-view camera")
 
@@ -233,8 +219,8 @@ def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
     center3 = ((world.workspace[0, 0] + world.workspace[0, 1]) / 2.0,
                (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0)
     center1 = (world.gripper.pose[0], world.gripper.pose[1])
-    key = (bodies, _camera_key(cam3), _camera_key(cam1), center3, center1)
-    inst3, inst1, height1 = _maps(key)
+    geometry = (bodies, cam3, cam1, center3, center1)
+    inst3, inst1, height1 = _maps(*geometry)
 
     # colours and appearance are immutable, so later edits to the world
     # rebind them and cannot reach the image
@@ -242,7 +228,7 @@ def render(world: WorldState, cam3: CameraConfig, cam1: CameraConfig) -> Frame:
     paint = partial(_paint_rgb, inst3, colors, world.appearance)
     return Frame(depth1=height1, instance3=inst3, instance1=inst1,
                  gripper=world.gripper.copy(), tick=world.tick, paint_rgb3=paint,
-                 geometry=key)
+                 geometry=geometry)
 
 
 def frame_digest(frame: Frame) -> str:

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .hcp import HOVER
+from .hcp import approach_pose
 from .scenes import SceneSpec, load_packaged_scene
 from .util import check_schema_version, rng_for
 from .world import (
@@ -224,13 +224,6 @@ def _xy_dist(a, b) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _reach_goal(world: WorldState, name: str) -> np.ndarray:
-    """Where reach-target wants the fingertip: hovering above the target's top."""
-    target = world.find(name)
-    p = effective_pose(target)
-    return np.array([p[0], p[1], entity_top(target) + HOVER])
-
-
 def is_success(task: TaskSpec, world: WorldState) -> bool:
     if task.family == "pick_place":
         return placed_on(world, task.obj, task.des)
@@ -242,7 +235,7 @@ def is_success(task: TaskSpec, world: WorldState) -> bool:
     if task.family == "push":
         return pushed_into(world, task.obj, task.des)
     if task.family == "reach":
-        goal = _reach_goal(world, task.obj)
+        goal = approach_pose(world, task.obj)
         return bool(float(np.linalg.norm(world.gripper.pose[:3] - goal)) <= REACH_TOL)
     if task.family == "multi":
         return all(stage_satisfied(world, s) for s in task.stages if s[0] == "placed")
@@ -285,7 +278,7 @@ def reward(task: TaskSpec, world: WorldState) -> float:
         r = (0.3 * (1.0 - min(dg / DIST_NORM, 1.0))
              + 0.7 * (1.0 - min(_xy_dist(po, pd) / DIST_NORM, 1.0)))
     elif task.family == "reach":
-        d = float(np.linalg.norm(g.pose[:3] - _reach_goal(world, task.obj)))
+        d = float(np.linalg.norm(g.pose[:3] - approach_pose(world, task.obj)))
         r = 1.0 - min(d / DIST_NORM, 1.0)
     elif task.family == "multi":
         placed = sum(1 for s in task.stages if s[0] == "placed" and stage_satisfied(world, s))

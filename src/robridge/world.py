@@ -140,14 +140,19 @@ class WorldState:
         return {e.name: e.id for e in self.entities}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CameraConfig:
+    """A camera, checked once when built. Frozen and hashable, so the
+    renderer keys its caches on the camera itself."""
     view: str                          # "third" | "first"
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)   # (dx px, dy px, dtheta rad)
     resolution: tuple[int, int] = (128, 128)
     scale: float = 0.005               # meters per pixel
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # a list (as JSON gives) becomes a tuple, so the camera hashes
+        object.__setattr__(self, "offset", tuple(self.offset))
+        object.__setattr__(self, "resolution", tuple(self.resolution))
         h, w = self.resolution
         if h < 32 or w < 32:
             raise ValueError(f"camera resolution must be >= 32x32, got {self.resolution}")
@@ -181,8 +186,8 @@ class Frame:
     # builds the third-view RGB image from what the renderer captured at
     # render time; called once, on the first read of rgb3
     paint_rgb3: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    # hashable key the maps are a function of (see ``render.render``);
-    # equal keys mean equal maps
+    # what the maps are a function of, hashable: the bodies, both cameras
+    # and both view centres (see ``render.render``); equal means equal maps
     geometry: tuple | None = field(default=None, repr=False, compare=False)
     _rgb3: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 

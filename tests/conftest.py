@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from robridge.augment import _blur_block
 from robridge.experts import STEP_RECORD, STEP_SIZE
 from robridge.render import render
 from robridge.scenes import parse_scene
 from robridge.world import create_world, first_camera, third_camera
+
+
+def blur_one(img, sigma):
+    """One image through augment._blur_block, which blurs a stack in place,
+    each image with its own sigma; float64 out."""
+    out = np.array(img, dtype=np.float64)[None]
+    _blur_block(out, np.array([float(sigma)]))
+    return out[0]
 
 
 def simple_scene_doc(**overrides):

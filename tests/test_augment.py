@@ -1,17 +1,17 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import blur_one
 from robridge.augment import (
     AugmentConfig,
-    _dilate,
     _hole_mask,
     add_blob,
     augment_grids,
     delete_component,
     expected_hole_count,
-    gaussian_blur,
     apply_suite,
 )
+from robridge.hcp import _square
 from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
 from robridge.util import rng_streams
 
@@ -80,19 +80,19 @@ def test_depth_warp_deterministic():
 
 def test_gaussian_blur_zero_identity():
     d = rand_depth(3)
-    assert np.array_equal(gaussian_blur(d, 0.0), d)
+    assert np.array_equal(blur_one(d, 0.0), d)
 
 
 def test_gaussian_blur_uniform_stays_uniform():
     d = np.full((32, 32), 0.7)
-    assert np.allclose(gaussian_blur(d, 1.5), 0.7, atol=1e-9)
+    assert np.allclose(blur_one(d, 1.5), 0.7, atol=1e-9)
 
 
 def test_gaussian_blur_delta_is_kernel():
     d = np.zeros((33, 33))
     d[16, 16] = 1.0
     sigma = 1.0
-    out = gaussian_blur(d, sigma)
+    out = blur_one(d, sigma)
     r = int(np.ceil(3 * sigma))
     t = np.arange(-r, r + 1, dtype=np.float64)
     k = np.exp(-0.5 * (t / sigma) ** 2)
@@ -105,7 +105,7 @@ def test_gaussian_blur_preserves_mass():
     d = rand_depth(4)
     d /= d.sum()
     for sigma in (0.5, 1.0, 1.5):
-        out = gaussian_blur(d, sigma)
+        out = blur_one(d, sigma)
         assert abs(out.sum() - 1.0) < 1e-6
 
 
@@ -148,7 +148,7 @@ def test_mask_jitter_stays_binary():
 def test_dilate_morphology_arithmetic():
     mask = np.zeros((16, 16), dtype=bool)
     mask[6:8, 6:8] = True
-    out = _dilate(mask[None], np.array([1]))[0]
+    out = _square(mask, 1, np.logical_or)
     assert out.sum() == 16
     assert out[5:9, 5:9].all()
 

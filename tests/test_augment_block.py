@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from conftest import blur_one
 from robridge.augment import (
     HOLE_RADIUS,
     AugmentConfig,
@@ -27,7 +28,6 @@ from robridge.augment import (
     augment_grids,
     delete_component,
     expected_hole_count,
-    gaussian_blur,
 )
 from robridge.observation import GRID, GRID_CHANNELS, VEC_DIM, ObsTensor
 from robridge.util import rng_for
@@ -244,7 +244,7 @@ def _signed_zeros(rng, shape, scale, zeros):
 def test_gaussian_blur_matches_convolve1d(img, sigma):
     # radii up to 18 on images of 1 to 12 pixels: the reflect border
     # repeats the image several times over
-    assert gaussian_blur(img, sigma).tobytes() == ref_gaussian_blur(img, sigma).tobytes()
+    assert blur_one(img, sigma).tobytes() == ref_gaussian_blur(img, sigma).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,7 +263,7 @@ def test_filters_on_tiny_images_match_scipy(shape):
     rng = np.random.default_rng(1)
     img = _signed_zeros(rng, shape, 1.0, 0.3)
     for sigma in (0.2, 1.0, 2.5, 7.0):
-        assert gaussian_blur(img, sigma).tobytes() == ref_gaussian_blur(img, sigma).tobytes()
+        assert blur_one(img, sigma).tobytes() == ref_gaussian_blur(img, sigma).tobytes()
     disp = _signed_zeros(rng, (3, 2, *shape), 1.0, 0.3)
     ref = ndimage.gaussian_filter(disp, sigma=(0.0, 0.0, 2.0, 2.0), mode="reflect", truncate=2.0)
     assert _separable(disp, _WARP_KERNEL).tobytes() == ref.tobytes()

@@ -52,6 +52,43 @@ def test_no_unused_private_helpers():
     assert unreferenced_private_defs(sorted(SRC.glob("*.py"))) == []
 
 
+def unnamed_public_defs(defined_in: list[Path], callers: list[Path]) -> list[str]:
+    """Public top-level functions and classes of the modules defined_in, and
+    the public methods of those classes, that no module of callers names:
+    as a name, an attribute, an imported name or a dotted part of a string
+    (the benchmark's tracer names the sites it wraps in strings)."""
+    defined = {}
+    for path in defined_in:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in (node, *members):
+                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")):
+                    owner = "" if d is node else f"{node.name}."
+                    defined.setdefault(d.name, f"{path.name}:{d.lineno} {owner}{d.name}")
+    named = set()
+    for path in callers:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                named |= {a.name for a in n.names}
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                named |= set(n.value.split("."))
+    return [where for name, where in defined.items() if name not in named]
+
+
+def test_every_public_def_has_a_caller():
+    # a function only tests call is dead code in src/; the benchmark and the
+    # scripts are callers, the tests are not
+    root = Path(__file__).resolve().parent.parent
+    callers = [p for d in (SRC, root / "scripts", root / "perfbench")
+               for p in sorted(d.glob("*.py")) if not p.name.startswith("test_")]
+    assert unnamed_public_defs(sorted(SRC.glob("*.py")), callers) == []
+
+
 def unused_parameters(path: Path) -> list[str]:
     """Parameters of the module's top-level functions that the body never
     names; defaults and annotations do not count as a use."""

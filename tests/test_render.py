@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import simple_scene_doc
 from robridge.render import (
+    _Shape,
     _bodies,
-    _cached_footprint,
+    _footprint,
     _maps,
     _rotated_offsets,
     frame_digest,
@@ -20,6 +21,7 @@ from robridge.world import (
     GRIPPER_COLOR,
     GRIPPER_ID,
     Appearance,
+    CameraConfig,
     create_world,
     effective_pose,
     first_camera,
@@ -142,11 +144,24 @@ def test_occlusion_topmost_wins(world, cams):
 
 
 def test_camera_validation():
-    from robridge.world import CameraConfig
     with pytest.raises(ValueError):
-        CameraConfig("third", resolution=(16, 16)).validate()
+        CameraConfig("third", resolution=(16, 16))
     with pytest.raises(ValueError):
-        CameraConfig("third", scale=0.0).validate()
+        CameraConfig("third", scale=0.0)
+
+
+def test_camera_is_a_frozen_hashable_value():
+    # lists, as a JSON log gives them, become tuples, so the camera hashes
+    cam = CameraConfig("third", offset=[8.0, -4.0, 0.0], resolution=[128, 128])
+    assert cam.offset == (8.0, -4.0, 0.0) and cam.resolution == (128, 128)
+    assert cam == third_camera(offset=(8.0, -4.0, 0.0))
+    assert hash(cam) == hash(third_camera(offset=(8.0, -4.0, 0.0)))
+    with pytest.raises(FrozenInstanceError):
+        cam.offset = (0.0, 0.0, 0.0)
+    moved = replace(cam, offset=[1.0, 2.0, 0.0])
+    assert moved.offset == (1.0, 2.0, 0.0) and cam.offset == (8.0, -4.0, 0.0)
+    with pytest.raises(ValueError):
+        replace(cam, resolution=(16, 128))
 
 
 def eager_rgb(world, instance3):
@@ -233,7 +248,7 @@ def full_grid_instance3(world, cam):
     y = (world.workspace[1, 0] + world.workspace[1, 1]) / 2.0 + cam.scale * rv
     inst = np.zeros((h, w), dtype=np.int32)
     for b in _bodies(world):
-        inst[in_footprint(b.kind, b.dims, b.cx, b.cy, b.yaw, x, y)] = b.ident
+        inst[in_footprint(*b.shape, x, y)] = b.ident
     return inst
 
 
@@ -246,20 +261,20 @@ def test_memoized_third_view_matches_full_grid_rasterization(name, move, offset)
     # then hits its first entry again once moved back
     world = create_world(parse_scene(simple_scene_doc()), seed=5)
     cam3 = third_camera(offset=offset)
-    _cached_footprint.cache_clear()
+    _footprint.cache_clear()
     body = world.find(name)
     home = body.pose.copy()
     for pose in (home, home + (*move[:2], 0.0, move[2]), home):
         body.pose[:] = pose
-        misses = _cached_footprint.cache_info().misses
+        misses = _footprint.cache_info().misses
         f = render(world, cam3, first_camera())
         assert np.array_equal(f.instance3, full_grid_instance3(world, cam3))
-    info = _cached_footprint.cache_info()
+    info = _footprint.cache_info()
     assert info.misses == misses
     assert info.maxsize <= 16
     with pytest.raises(ValueError):
-        _cached_footprint(body.kind, *home[:2], home[3], body.dims, "third",
-                          cam3.offset, cam3.resolution, cam3.scale, 0.32, 0.32)[4][0, 0] = True
+        _footprint(_Shape(body.kind, body.dims, *home[:2], home[3]), cam3,
+                   (0.32, 0.32))[4][0, 0] = True
 
 
 def full_grid_first_view(world, cam):
@@ -272,7 +287,7 @@ def full_grid_first_view(world, cam):
     inst = np.zeros((h, w), dtype=np.int32)
     height = np.zeros((h, w))
     for b in _bodies(world):
-        m = in_footprint(b.kind, b.dims, b.cx, b.cy, b.yaw, x, y)
+        m = in_footprint(*b.shape, x, y)
         inst[m] = b.ident
         height[m] = b.top
     return inst, height
@@ -293,14 +308,14 @@ def test_memoized_first_view_matches_full_grid_rasterization(dz, dxy):
     world = create_world(parse_scene(simple_scene_doc()), seed=5)
     cams = third_camera(), first_camera()
     _maps.cache_clear()
-    _cached_footprint.cache_clear()
+    _footprint.cache_clear()
     home = render(world, *cams)
     start = world.gripper.pose.copy()
     for move, misses in (((0.0, 0.0, dz), 0), ((*dxy, 0.0), 1 + len(_bodies(world)))):
         world.gripper.pose[:3] += move
-        before = _cached_footprint.cache_info().misses
+        before = _footprint.cache_info().misses
         f = render(world, *cams)
-        assert _cached_footprint.cache_info().misses - before == misses
+        assert _footprint.cache_info().misses - before == misses
         inst, height = full_grid_first_view(world, cams[1])
         assert np.array_equal(f.instance1, inst)
         assert f.depth1.tobytes() == height.tobytes()
@@ -320,5 +335,5 @@ def test_memoized_first_view_matches_full_grid_rasterization(dz, dxy):
     for a in (f.instance3, f.instance1, f.depth1):
         with pytest.raises(ValueError):
             a[0, 0] = 1
-    assert _cached_footprint.cache_info().maxsize <= 16
+    assert _footprint.cache_info().maxsize <= 16
     assert _maps.cache_info().maxsize <= 4

@@ -1,4 +1,5 @@
-"""Every lookup site the benchmark's span tracer wraps must exist.
+"""Every lookup site the benchmark's span tracer wraps must exist, and the
+program must call through it.
 
 perfbench/tracing.py wraps functions at the module attributes through which
 the program looks them up. A rename in the program silently breaks a traced
@@ -9,6 +10,10 @@ and resolving each (module, attribute) pair.
 import ast
 import importlib
 from pathlib import Path
+
+from robridge import dagger, experts, loop
+from robridge.harness import ExperimentConfig
+from robridge.policy import init_params
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -41,3 +46,20 @@ def test_every_wrap_site_resolves():
     missing = [f"{owner}.{attr}" for owner, attr in sites
                if not callable(getattr(_owner(owner), attr, None))]
     assert not missing, f"tracer sites the program no longer has: {missing}"
+
+
+def test_rollouts_look_up_run_episode_at_call_time(monkeypatch):
+    # the benchmark counts untraced episodes and ticks by wrapping
+    # robridge.loop.run_episode; demo collection and DAgger rollouts import
+    # it inside the function, so each call goes through the wrapper
+    real, calls = loop.run_episode, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(loop, "run_episode", counted)
+    experts.rollout_expert("press-button", 0)
+    config = ExperimentConfig(tasks=["press-button"], loop=loop.LoopConfig(max_ticks=20))
+    dagger._default_rollout("press-button", 0, init_params(0), config)
+    assert len(calls) == 2
